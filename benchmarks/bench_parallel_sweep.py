@@ -2,10 +2,13 @@
 
 Not a paper artifact: this bench guards the harness property the paper's
 own runs relied on (a 28-core machine chewing through the full matrix).
-It times the same (instance × algorithm) sweep serially and under a
-worker pool, asserts the two record sets are identical modulo timings,
-and reports the speedup.  On CI-class two-core runners the speedup is
-modest; the assertion is only that parallelism never *changes* results.
+It times the same (instance × algorithm) sweep serially and under
+``workers=N`` (the lease scheduler), asserts the two record sets are
+identical modulo timings, and reports the speedup.  The scheduler polls
+for finished and orphaned cells every 0.1 s and idle workers re-scan
+every 0.2 s, a fixed cost that outweighs the parallelism on cells as
+small as these; the assertion is only that parallelism never *changes*
+results.
 """
 
 import os
@@ -60,4 +63,7 @@ def test_parallel_sweep(benchmark, profile, results_dir):
     emit(results_dir, "parallel_sweep",
          f"serial: {serial_s:.2f}s  workers={WORKERS}: {parallel_s:.2f}s  "
          f"speedup x{serial_s / max(parallel_s, 1e-9):.2f}",
-         "[harness] workers=N must change wall-clock only, never records.")
+         "[harness] workers=N must change wall-clock only, never records.\n"
+         "[harness] Cells this small finish faster than the scheduler's "
+         "0.1 s supervisor poll and 0.2 s idle-worker re-scan, so the "
+         "polling is a fixed cost that can exceed the parallel gain.")

@@ -157,16 +157,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seconds before the first retry, doubled per "
                           "further attempt")
     exp.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="fan independent cells out to N worker "
-                          "processes (default 1 = serial); results and "
-                          "journal semantics are identical to a serial "
+                     help="run the cells on N lease-coordinated worker "
+                          "processes in a temporary directory (default 1 "
+                          "= serial); --journal stays one file, so "
+                          "results and resume are identical to a serial "
                           "run")
     exp.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="run the sweep across N lease-coordinated shard "
-                          "workers that survive killed/hung members "
-                          "(requires --journal; mutually exclusive with "
-                          "--workers); results are identical to a serial "
-                          "run")
+                     help="like --workers, but the N workers keep their "
+                          "journal shards, leases and recovery log next "
+                          "to --journal (required; mutually exclusive "
+                          "with --workers); results are identical to a "
+                          "serial run")
     exp.add_argument("--cache-dir", default=None, metavar="PATH",
                      help="persist cached per-graph intermediates to this "
                           "directory (crash-safe, checksum-verified; "

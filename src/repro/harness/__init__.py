@@ -12,8 +12,8 @@ a self-contained stand-in.)
 * :mod:`repro.harness.journal` — crash-tolerant write-ahead journal/resume,
 * :mod:`repro.harness.budget` — per-cell time+memory budgets (child procs),
 * :mod:`repro.harness.retry` — retry policy for transient cell failures,
-* :mod:`repro.harness.scheduler` — shard-aware distributed sweeps with
-  lease-based orphan recovery (``ExperimentConfig(shards=N)``).
+* :mod:`repro.harness.scheduler` — multi-process sweeps with lease-based
+  orphan recovery (``ExperimentConfig(workers=N)`` or ``shards=N``).
 """
 
 from repro.harness.config import (
@@ -42,7 +42,6 @@ from repro.harness.scheduler import (
     run_sharded_experiment,
 )
 from repro.harness.asciiplot import line_plot
-from repro.harness.timeout import run_cell_with_timeout
 from repro.harness.tuning import GridSearchResult, grid_search
 from repro.harness.report import markdown_report
 
@@ -68,7 +67,6 @@ __all__ = [
     "RunRecord",
     "ResultTable",
     "line_plot",
-    "run_cell_with_timeout",
     "grid_search",
     "GridSearchResult",
     "markdown_report",

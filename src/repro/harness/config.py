@@ -136,11 +136,11 @@ class ExperimentConfig:
     algorithm_params: Dict[str, dict] = field(default_factory=dict)
     budget: Optional[CellBudget] = None       # run cells in capped children
     retry_policy: Optional[RetryPolicy] = None  # re-attempt transient fails
-    workers: int = 1  # >1 fans instances out to a process pool
+    workers: int = 1  # >1 runs the scheduler in a temp dir (journal mirrored)
     strict_numerics: bool = False  # watchdog fail-fast instead of sanitize
     trace: bool = False  # record per-cell stage traces (repro.observability)
     cache: bool = False  # share per-graph intermediates via repro.cache
-    shards: int = 1  # >1 runs lease-coordinated shard workers (scheduler)
+    shards: int = 1  # >1 runs the scheduler next to the journal path
     cache_dir: Optional[str] = None  # disk-backed cache (repro.cache_disk)
     lease_timeout_seconds: float = 30.0  # heartbeat age that orphans a cell
     # Post-sweep statistics (repro.stats): permutation tests + bootstrap

@@ -133,11 +133,12 @@ class RunJournal:
     returning, making the journal a true write-ahead log.
 
     A journal has exactly **one writer: the process that opened it**.
-    The parallel sweep executor keeps this invariant by streaming records
-    from pool workers back to the parent, which performs every append;
-    concurrent appends from multiple processes would interleave partial
-    lines and corrupt the log.  :meth:`append` asserts the invariant, so
-    a journal object smuggled into a forked child fails loudly instead.
+    The sweep scheduler keeps this invariant by giving every worker its
+    own shard, and under ``workers=N`` by having the supervisor copy
+    finished records into the caller's journal; concurrent appends from
+    multiple processes would interleave partial lines and corrupt the
+    log.  :meth:`append` asserts the invariant, so a journal object
+    smuggled into a forked child fails loudly instead.
     """
 
     def __init__(self, path: Union[str, Path],
@@ -214,7 +215,10 @@ class RunJournal:
         return self._handle
 
     def _write_line(self, entry: Dict) -> None:
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        # Keys keep the order the entry was built in, so a record read
+        # back (a resumed cell, or any cell of a workers/shards sweep)
+        # is the record that was written, down to its dicts' key order.
+        self._handle.write(json.dumps(entry) + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
 

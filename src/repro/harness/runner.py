@@ -13,8 +13,7 @@ The runner enforces the paper's protocol:
 from __future__ import annotations
 
 import hashlib
-import multiprocessing as mp
-import queue as queue_module
+import tempfile
 import traceback
 import tracemalloc
 from pathlib import Path
@@ -38,6 +37,7 @@ from repro.harness.journal import (
 )
 from repro.harness.results import ResultTable, RunRecord
 from repro.harness.retry import run_with_retry
+from repro.harness.scheduler import run_sharded_experiment
 from repro.measures import evaluate_all
 from repro.noise import GraphPair, make_pair
 from repro.sketch import SketchPolicy, sketching
@@ -235,8 +235,8 @@ def _describe_failure(exc: BaseException, tail_lines: int = 4) -> str:
 def _default_pair_factory(graph, noise_type, level, seed) -> GraphPair:
     """Materialize one instance with :func:`repro.noise.make_pair`.
 
-    A module-level function (not a lambda) so pool workers can receive it
-    under every multiprocessing start method.
+    A module-level function (not a lambda) so sweep workers can receive
+    it under every multiprocessing start method.
     """
     return make_pair(graph, noise_type, level, seed=seed)
 
@@ -262,14 +262,16 @@ def run_experiment(
     the returned table always contains journaled and fresh records alike.
     Execution knobs come from the config: ``config.budget`` runs each
     cell in a resource-capped child process, ``config.retry_policy``
-    re-attempts transient failures, and ``config.workers > 1`` fans
-    independent instances out to a pool of worker processes (see
-    :func:`_run_sweep_parallel`) — with identical results, budgets,
-    retries, and journal semantics.  ``config.shards > 1`` instead runs
-    the lease-coordinated distributed scheduler
+    re-attempts transient failures, and ``config.workers > 1`` or
+    ``config.shards > 1`` runs the cells on that many worker processes
+    of the lease-coordinated scheduler
     (:func:`repro.harness.scheduler.run_sharded_experiment`), which
-    tolerates killed and hung workers; it requires ``journal`` to be a
-    *path* because every shard worker owns its own journal file.
+    tolerates killed and hung workers — with identical results, budgets
+    and retries.  Under ``shards`` every worker owns a journal shard next
+    to ``journal``, which must therefore be a *path*; under ``workers``
+    the shards live in a scratch directory and ``journal`` stays the one
+    file, written by this process alone, so serial and ``workers`` runs
+    resume each other.
     ``config.cache_dir`` layers a crash-safe disk cache
     (:mod:`repro.cache_disk`) under every per-instance artifact cache,
     so eigendecompositions and other per-graph intermediates persist
@@ -282,7 +284,6 @@ def run_experiment(
     journal_path = (journal.path if isinstance(journal, RunJournal)
                     else Path(journal) if journal is not None else None)
     if int(getattr(config, "shards", 1)) > 1:
-        from repro.harness.scheduler import run_sharded_experiment
         if journal is None:
             raise ExperimentError(
                 "a sharded sweep (config.shards > 1) needs a journal path: "
@@ -297,8 +298,10 @@ def run_experiment(
         journal = RunJournal(journal, fingerprint=config_fingerprint(config))
     try:
         if int(getattr(config, "workers", 1)) > 1:
-            table = _run_sweep_parallel(config, graphs, factory, progress,
-                                        journal)
+            with tempfile.TemporaryDirectory() as scratch:
+                table = run_sharded_experiment(
+                    config, graphs, factory, progress,
+                    Path(scratch) / "sweep.jsonl", mirror=journal)
         else:
             table = _run_sweep(config, graphs, factory, progress, journal)
     finally:
@@ -354,20 +357,16 @@ def _instance_cache(config):
     return use_cache, disk
 
 
-# One unit of schedulable work: every pending algorithm of one alignment
-# instance.  Grouping by instance lets a worker materialize the (possibly
-# expensive) noisy pair once and reuse it across algorithms, exactly as
-# the serial loop does.
-InstanceTask = Tuple[str, str, float, int, Tuple[str, ...]]
-
-
-def _collect_instances(config, graphs, journal, table) -> List[InstanceTask]:
+def _collect_instances(config, graphs, journal, table
+                       ) -> List[Tuple[str, str, float, int, Tuple[str, ...]]]:
     """Replay journaled records into ``table``; return the remaining work.
 
-    Shared by the serial and parallel paths so both skip exactly the same
-    cells on resume.
+    One ``(dataset, noise type, level, rep, pending algorithms)`` entry
+    per instance, so the serial loop builds each noisy pair once.  The
+    scheduler (``workers``/``shards``) skips the same journaled cells:
+    its supervisor marks them done before any worker starts.
     """
-    tasks: List[InstanceTask] = []
+    tasks = []
     for dataset in graphs:
         for noise_type in config.noise_types:
             for level in config.noise_levels:
@@ -417,135 +416,6 @@ def _run_sweep(config, graphs, factory, progress, journal) -> ResultTable:
                     journal.append(
                         cell_key(dataset, noise_type, level, rep, name),
                         record)
-    return table
-
-
-def _pool_context():
-    """Fork-server-free context: ``fork`` where available, default elsewhere.
-
-    ``fork`` lets workers inherit the base graphs and pair factory without
-    pickling anything; under ``spawn`` they are pickled once per worker at
-    startup (never per cell).
-    """
-    if "fork" in mp.get_all_start_methods():
-        return mp.get_context("fork")
-    return mp.get_context()
-
-
-def _worker_main(task_queue, result_queue, config, graphs, factory) -> None:
-    """Pool-worker body: materialize pairs locally, run cells, stream back.
-
-    Workers receive only small :data:`InstanceTask` tuples; the noisy pair
-    for each instance is rebuilt *inside* the worker from the stable
-    :func:`cell_seed`, so the parent never ships per-cell graph data.
-    Budgets and retries apply per cell exactly as in the serial path
-    (``run_cell_with_budget`` forks its capped grandchild from here).
-    Every outcome — including a broken pair factory — is shipped as a
-    ``(key, RunRecord)`` so the parent's accounting always balances.
-    """
-    base_seed = int(config.seed)
-    use_cache, disk = _instance_cache(config)
-    while True:
-        task = task_queue.get()
-        if task is None:  # sentinel: no more instances
-            break
-        dataset, noise_type, level, rep, pending = task
-        seed = cell_seed(base_seed, dataset, noise_type, level, rep)
-        try:
-            pair = factory(graphs[dataset], noise_type, level, seed)
-        except Exception as exc:
-            for name in pending:
-                key = cell_key(dataset, noise_type, level, rep, name)
-                result_queue.put((key, RunRecord(
-                    algorithm=name, dataset=dataset, noise_type=noise_type,
-                    noise_level=float(level), repetition=rep,
-                    assignment=config.assignment, measures={},
-                    similarity_time=0.0, assignment_time=0.0, failed=True,
-                    error=_describe_failure(exc),
-                )))
-            continue
-        with ExitStack() as scope:
-            # Same per-instance artifact sharing as the serial loop: the
-            # worker opens one cache per instance it processes, keeping
-            # serial and parallel sweeps structurally identical.  The
-            # disk backing (if any) is what lets sibling workers share
-            # artifacts at all — memory tiers die with each instance.
-            if use_cache:
-                from repro.cache import ArtifactCache
-                scope.enter_context(caching(True))
-                scope.enter_context(artifact_cache(
-                    ArtifactCache(backing=disk)))
-            for name in pending:
-                key = cell_key(dataset, noise_type, level, rep, name)
-                record = _execute_cell(config, name, pair, dataset, rep, seed)
-                result_queue.put((key, record))
-
-
-def _run_sweep_parallel(config, graphs, factory, progress,
-                        journal) -> ResultTable:
-    """Fan instances out to ``config.workers`` processes.
-
-    The parent stays the **single journal writer**: workers stream
-    ``(key, record)`` results back over a queue and every append happens
-    here, so the crash/resume guarantees of the serial path hold
-    unchanged.  Collection is ordering-independent — records are keyed,
-    not positional — which is what makes a parallel run resumable by a
-    serial one and vice versa.
-    """
-    table = ResultTable()
-    tasks = _collect_instances(config, graphs, journal, table)
-    if not tasks:
-        return table
-    expected = sum(len(pending) for *_, pending in tasks)
-    ctx = _pool_context()
-    task_queue = ctx.Queue()
-    result_queue = ctx.Queue()
-    n_workers = max(1, min(int(config.workers), len(tasks)))
-    for task in tasks:
-        task_queue.put(task)
-    for _ in range(n_workers):
-        task_queue.put(None)
-    # Workers are non-daemonic: run_cell_with_budget must be able to fork
-    # its resource-capped grandchild from inside a worker.  The finally
-    # block below reaps them on every exit path instead.
-    workers = [
-        ctx.Process(target=_worker_main,
-                    args=(task_queue, result_queue, config, graphs, factory))
-        for _ in range(n_workers)
-    ]
-    for worker in workers:
-        worker.start()
-    try:
-        received = 0
-        while received < expected:
-            try:
-                key, record = result_queue.get(timeout=1.0)
-            except queue_module.Empty:
-                if not any(worker.is_alive() for worker in workers):
-                    raise ExperimentError(
-                        f"all sweep workers exited with {expected - received}"
-                        " cells outstanding (a worker crashed harder than a"
-                        " cell budget could catch); completed cells are in"
-                        " the journal — rerun to resume"
-                    )
-                continue
-            received += 1
-            if progress is not None:
-                progress(
-                    f"{record.dataset} {record.noise_type} "
-                    f"{record.noise_level:.2f} rep{record.repetition} "
-                    f"{record.algorithm}"
-                )
-            table.add(record)
-            if journal is not None:
-                journal.append(key, record)
-        for worker in workers:
-            worker.join()
-    finally:
-        for worker in workers:
-            if worker.is_alive():
-                worker.terminate()
-                worker.join()
     return table
 
 

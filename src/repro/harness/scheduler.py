@@ -1,9 +1,10 @@
 """Shard-aware distributed sweep scheduler with lease-based orphan recovery.
 
-The parallel executor in :mod:`repro.harness.runner` funnels every
-record through one parent — one journal writer, one failure domain.
-This module removes that bottleneck for multi-process (and, by design,
-multi-host-on-shared-storage) sweeps while keeping the crash-resume
+The one multi-process sweep executor: ``ExperimentConfig(shards=N)``
+runs it next to the caller's journal path, and ``workers=N`` runs it in
+a scratch directory with the caller's journal as a supervisor-written
+mirror.  It is built for multi-process (and, by design,
+multi-host-on-shared-storage) sweeps and keeps the crash-resume
 guarantees: workers can be SIGKILLed, hang, or die mid-cell, and the
 sweep still converges to records bit-identical to a serial run.
 
@@ -540,38 +541,49 @@ def _enumerate_cells(config, graphs) -> List[_Cell]:
     return cells
 
 
-def _read_shard_records(path: Path, fingerprint: Optional[str]
-                        ) -> Dict[str, RunRecord]:
-    """Read one shard **without mutating it** (unlike ``RunJournal.__init__``,
-    which truncates torn tails — fatal to a shard another process is
-    still appending to).  Torn or corrupt tails are simply ignored; the
-    owning worker repairs its own shard when it reopens it.
+def _read_new_records(paths: ShardPaths, fingerprint: Optional[str],
+                      offsets: Dict[Path, int],
+                      records: Dict[str, RunRecord]) -> None:
+    """Add every record appended to any shard since the byte offsets in
+    ``offsets`` (advanced in place, so a supervisor polling a long sweep
+    parses each line once); a key keeps the first record read for it.
+
+    Shards are read **without mutating them** (unlike
+    ``RunJournal.__init__``, which truncates torn tails — fatal to a
+    shard another process is still appending to).  Torn or corrupt
+    tails are simply not consumed; the owning worker repairs its own
+    shard when it reopens it.
     """
-    records: Dict[str, RunRecord] = {}
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return records
-    for line in raw.splitlines(keepends=True):
-        if not line.endswith(b"\n"):
-            break
+    for path in paths.existing_shards():
+        start = offsets.get(path, 0)
         try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            break
-        kind = entry.get("kind")
-        if kind == "header":
-            theirs = entry.get("fingerprint")
-            if (fingerprint is not None and theirs is not None
-                    and theirs != fingerprint):
-                raise ExperimentError(
-                    f"journal shard {path} was written for a different "
-                    f"experiment configuration (fingerprint {theirs} != "
-                    f"{fingerprint}); use a fresh journal path"
-                )
-        elif kind == "record":
-            records[entry["key"]] = RunRecord.from_dict(entry["record"])
-    return records
+            with open(path, "rb") as handle:
+                handle.seek(start)
+                raw = handle.read()
+        except OSError:
+            continue
+        for line in raw.splitlines(keepends=True):
+            if not line.endswith(b"\n"):
+                break
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                break
+            start += len(line)
+            offsets[path] = start
+            kind = entry.get("kind")
+            if kind == "header":
+                theirs = entry.get("fingerprint")
+                if (fingerprint is not None and theirs is not None
+                        and theirs != fingerprint):
+                    raise ExperimentError(
+                        f"journal shard {path} was written for a different "
+                        f"experiment configuration (fingerprint {theirs} != "
+                        f"{fingerprint}); use a fresh journal path"
+                    )
+            elif kind == "record":
+                records.setdefault(entry["key"],
+                                   RunRecord.from_dict(entry["record"]))
 
 
 def merge_shard_records(paths: ShardPaths, fingerprint: Optional[str]
@@ -580,10 +592,7 @@ def merge_shard_records(paths: ShardPaths, fingerprint: Optional[str]
     wins; duplicates only arise from the append-vs-done-marker crash
     window and were computed from the same deterministic seed)."""
     merged: Dict[str, RunRecord] = {}
-    for shard_path in paths.existing_shards():
-        for key, record in _read_shard_records(shard_path,
-                                               fingerprint).items():
-            merged.setdefault(key, record)
+    _read_new_records(paths, fingerprint, {}, merged)
     return merged
 
 
@@ -616,16 +625,22 @@ def _read_done_keys(paths: ShardPaths) -> set:
 # Worker
 
 
-def _orphaned_failure(cell: _Cell, config, attempts: int) -> RunRecord:
+def _failed_record(cell: _Cell, config, error: str,
+                   attempts: int = 1) -> RunRecord:
     return RunRecord(
         algorithm=cell.algorithm, dataset=cell.dataset,
         noise_type=cell.noise_type, noise_level=cell.level,
         repetition=cell.rep, assignment=config.assignment, measures={},
         similarity_time=0.0, assignment_time=0.0, failed=True,
-        error=(f"ExperimentError: cell orphaned {attempts} times (its "
-               "worker died or hung mid-cell on every attempt); giving up"),
-        attempts=attempts,
+        error=error, attempts=attempts,
     )
+
+
+def _process_count(config) -> int:
+    """Worker processes of one sweep: ``shards`` or ``workers``, whichever
+    is set (the config rejects setting both above 1)."""
+    return max(int(getattr(config, "shards", 1)),
+               int(getattr(config, "workers", 1)))
 
 
 def _orphan_attempt_limit(config) -> int:
@@ -666,11 +681,14 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
     """Worker body: claim → run → journal → done-marker → release, forever.
 
     Self-directed: the worker walks the full deterministic cell list
-    (rotated by shard index so workers start in different regions and
-    rarely contend on a lease) and claims whatever is neither done nor
-    leased.  It exits when every cell has a done marker, or when its
-    supervisor disappears (``getppid() == 1`` — an orphaned worker must
-    not soldier on against a sweep nobody owns).
+    (rotated by shard index to an instance boundary, so workers start on
+    different instances and rarely contend on a lease) and claims
+    whatever is neither done nor leased.  It leaves the rest of an
+    instance to the worker already running one of its cells, so each
+    instance's algorithms share one noisy pair and one artifact cache,
+    as in the serial loop.  It exits when every cell has a done marker,
+    or when its supervisor disappears (``getppid() == 1`` — an orphaned
+    worker must not soldier on against a sweep nobody owns).
 
     SIGTERM drains the worker gracefully: the handler unwinds the run
     loop, the burned attempt is tombstoned, and the held lease is
@@ -681,22 +699,21 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
     from contextlib import ExitStack
 
     from repro.cache import ArtifactCache, artifact_cache, caching
-    from repro.harness.runner import _execute_cell, cell_seed
+    from repro.harness.runner import (_describe_failure, _execute_cell,
+                                      _instance_cache, cell_seed)
 
     previous_sigterm = _install_worker_sigterm_handler()
-    paths = ShardPaths(base, int(getattr(config, "shards", 1)))
+    processes = _process_count(config)
+    paths = ShardPaths(base, processes)
     journal = RunJournal(paths.shard(shard_index), fingerprint=fingerprint)
-    use_cache = bool(getattr(config, "cache", False)) or \
-        getattr(config, "cache_dir", None) is not None
-    disk = None
-    if getattr(config, "cache_dir", None):
-        from repro.cache_disk import DiskArtifactCache
-        disk = DiskArtifactCache(config.cache_dir)
+    use_cache, disk = _instance_cache(config)
     cells = _enumerate_cells(config, graphs)
     if not cells:
         journal.close()
         return
-    offset = (shard_index * len(cells)) // max(int(config.shards), 1)
+    starts = [index for index, cell in enumerate(cells)
+              if index == 0 or cell.instance != cells[index - 1].instance]
+    offset = starts[(shard_index * len(starts)) // processes]
     order = cells[offset:] + cells[:offset]
     lease_timeout = float(getattr(config, "lease_timeout_seconds", 30.0))
     heartbeat = _HeartbeatThread(interval_seconds=lease_timeout / 5.0)
@@ -705,55 +722,98 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
     base_seed = int(config.seed)
     last_instance: Optional[Tuple] = None
     last_pair = None
+    instance_scope = ExitStack()
+    held = None  # (cell, lease, prior): the next cell, claimed in advance
+
+    def claim(cell: _Cell) -> Tuple[Optional[Path], int]:
+        prior = read_attempts(paths.lease_dir, cell.key)
+        lease = try_acquire_lease(paths.lease_dir, cell.key,
+                                  attempt=prior + 1)
+        if lease is not None:
+            heartbeat.track(lease, cell.key, prior + 1, time.time())
+        return lease, prior
+
     try:
         while True:
             if os.getppid() == 1:
                 return  # supervisor is gone; stop claiming work
             any_progress = False
             all_done = True
-            for cell in order:
-                if _done_path(paths, cell.key).exists():
-                    continue
-                if cell.key in journal:
-                    # Crash window from a previous incarnation of this
-                    # shard: record durable, marker missing.
-                    _publish_done(paths, cell.key)
-                    any_progress = True
-                    continue
-                all_done = False
-                if os.getppid() == 1:
-                    return
-                prior = read_attempts(paths.lease_dir, cell.key)
-                claim = try_acquire_lease(paths.lease_dir, cell.key,
-                                          attempt=prior + 1)
-                if claim is None:
-                    continue  # someone else holds it
-                acquired_at = time.time()
-                heartbeat.track(claim, cell.key, prior + 1, acquired_at)
+            busy = None  # an instance another worker holds a lease in
+            for position, cell in enumerate(order):
+                if held is not None and held[0] is cell:
+                    _, lease, prior = held
+                    held = None
+                else:
+                    if _done_path(paths, cell.key).exists():
+                        continue
+                    if cell.key in journal:
+                        # Crash window from a previous incarnation of this
+                        # shard: record durable, marker missing.
+                        _publish_done(paths, cell.key)
+                        any_progress = True
+                        continue
+                    all_done = False
+                    if cell.instance == busy:
+                        continue
+                    if os.getppid() == 1:
+                        return
+                    lease, prior = claim(cell)
+                    if lease is None:
+                        busy = cell.instance  # its holder runs the rest
+                        continue
                 try:
                     if prior >= limit:
-                        record = _orphaned_failure(cell, config, prior)
+                        record = _failed_record(
+                            cell, config,
+                            f"ExperimentError: cell orphaned {prior} times "
+                            "(its worker died or hung mid-cell on every "
+                            "attempt); giving up", attempts=prior)
                     else:
                         seed = cell_seed(base_seed, cell.dataset,
                                          cell.noise_type, cell.level,
                                          cell.rep)
-                        if last_instance != cell.instance:
-                            last_pair = factory(graphs[cell.dataset],
-                                                cell.noise_type, cell.level,
-                                                seed)
-                            last_instance = cell.instance
-                        with ExitStack() as scope:
-                            if use_cache:
-                                scope.enter_context(caching(True))
-                                scope.enter_context(artifact_cache(
-                                    ArtifactCache(backing=disk)))
+                        try:
+                            if last_instance != cell.instance:
+                                # One artifact cache per instance, as in
+                                # the serial loop.
+                                instance_scope.close()
+                                last_instance = None
+                                last_pair = factory(graphs[cell.dataset],
+                                                    cell.noise_type,
+                                                    cell.level, seed)
+                                last_instance = cell.instance
+                                if use_cache:
+                                    instance_scope.enter_context(
+                                        caching(True))
+                                    instance_scope.enter_context(
+                                        artifact_cache(
+                                            ArtifactCache(backing=disk)))
                             record = _execute_cell(
                                 config, cell.algorithm, last_pair,
                                 cell.dataset, cell.rep, seed)
+                        except Exception as exc:
+                            # A pair factory that raises fails its cells:
+                            # a worker dying on it would be respawned into
+                            # the same error forever.
+                            record = _failed_record(cell, config,
+                                                    _describe_failure(exc))
                         if prior:
                             record = replace(
                                 record, attempts=record.attempts + prior)
                     journal.append(cell.key, record)
+                    following = (order[position + 1]
+                                 if position + 1 < len(order) else None)
+                    if (following is not None
+                            and following.instance == cell.instance
+                            and not _done_path(paths, following.key).exists()
+                            and following.key not in journal):
+                        # Claim the instance's next cell before this one
+                        # is marked done: other workers then always find
+                        # one of its cells leased and leave it to us.
+                        next_lease, next_prior = claim(following)
+                        if next_lease is not None:
+                            held = (following, next_lease, next_prior)
                     _publish_done(paths, cell.key)
                 except _GracefulExit:
                     # Drained mid-cell: tombstone the burned attempt so
@@ -762,8 +822,8 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
                     bump_attempts(paths.lease_dir, cell.key)
                     raise
                 finally:
-                    heartbeat.untrack(claim)
-                    release_lease(claim)
+                    heartbeat.untrack(lease)
+                    release_lease(lease)
                 any_progress = True
             if all_done:
                 return
@@ -778,6 +838,10 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
         # attempt accounting as usual.
         raise
     finally:
+        if held is not None:
+            heartbeat.untrack(held[1])
+            release_lease(held[1])
+        instance_scope.close()
         heartbeat.stop()
         journal.close()
         if previous_sigterm is not None:
@@ -802,14 +866,22 @@ def run_sharded_experiment(
     factory: Callable,
     progress: Optional[Callable[[str], None]],
     journal: Union[str, Path],
+    mirror: Optional[RunJournal] = None,
 ) -> ResultTable:
-    """Run the sweep across ``config.shards`` lease-coordinated workers.
+    """Run the sweep across ``max(config.shards, config.workers)``
+    lease-coordinated workers.
 
     The supervisor never executes cells; it spawns workers, watches
     their liveness, reclaims orphaned leases (killing provably hung
     owners first), respawns dead workers while work remains, and records
     every recovery event to ``<journal>.events.jsonl``.  Returns the
     merged table once every cell has a durable record in some shard.
+
+    ``mirror`` is an open :class:`RunJournal` the supervisor alone
+    writes: its records count as done before any worker starts, and each
+    newly finished cell is reported to ``progress`` and then appended to
+    it.  ``workers=N`` sweeps run with ``journal`` in a scratch directory
+    and the caller's journal as the mirror.
     """
     import multiprocessing as mp
 
@@ -818,8 +890,8 @@ def run_sharded_experiment(
             "sharded sweeps take a journal *path* (each worker opens its "
             "own shard next to it), not an open RunJournal"
         )
-    n_shards = int(config.shards)
-    paths = ShardPaths(journal, n_shards)
+    processes = _process_count(config)
+    paths = ShardPaths(journal, processes)
     paths.ensure_dirs()
     fingerprint = config_fingerprint(config)
     events = EventLog(paths.events_path)
@@ -828,12 +900,15 @@ def run_sharded_experiment(
     lease_timeout = float(getattr(config, "lease_timeout_seconds", 30.0))
 
     # Resume: records from previous incarnations count as done.
-    merged = merge_shard_records(paths, fingerprint)
-    resumed = set()
-    for key in merged:
-        if key in cell_keys:
-            _publish_done(paths, key)
-            resumed.add(key)
+    offsets: Dict[Path, int] = {}
+    records: Dict[str, RunRecord] = {}
+    _read_new_records(paths, fingerprint, offsets, records)
+    if mirror is not None:
+        records.update((key, mirror.get(key)) for key in cell_keys
+                       if key in mirror)
+    reported = cell_keys & set(records)
+    for key in reported:
+        _publish_done(paths, key)
 
     # Leases left behind by a crashed previous run: reclaim the provably
     # dead ones right away so the fresh fleet is never blocked on them.
@@ -857,17 +932,25 @@ def run_sharded_experiment(
         worker.start()
         return worker
 
-    workers = {index: spawn(index) for index in range(n_shards)}
-    reported = set(resumed)
+    def respawn(index: int) -> None:
+        worker = workers[index]
+        worker.join()
+        events.record("worker_respawned", shard=index,
+                      exit_code=worker.exitcode)
+        workers[index] = spawn(index)
+
+    workers: Dict[int, object] = {}
     try:
         while True:
             done_keys = _read_done_keys(paths) & cell_keys
-            if progress is not None:
-                for key in sorted(done_keys - reported):
+            if done_keys - reported:
+                _read_new_records(paths, fingerprint, offsets, records)
+            for key in sorted((done_keys - reported) & set(records)):
+                if progress is not None:
                     progress(_progress_message(key))
-                    reported.add(key)
-            else:
-                reported |= done_keys
+                if mirror is not None:
+                    mirror.append(key, records[key])
+                reported.add(key)
             if len(done_keys) >= len(cell_keys):
                 break
 
@@ -884,6 +967,12 @@ def run_sharded_experiment(
                         os.kill(lease.pid, signal.SIGKILL)
                     except OSError:
                         pass
+                    # Reap and replace it while its cell is still leased:
+                    # a sibling could otherwise finish the cell before the
+                    # next poll and end the sweep with no respawn recorded.
+                    for index, worker in list(workers.items()):
+                        if worker.pid == lease.pid:
+                            respawn(index)
                 attempts = bump_attempts(paths.lease_dir, lease.key) \
                     if lease.key else 0
                 events.record("lease_reclaimed", key=lease.key,
@@ -891,28 +980,26 @@ def run_sharded_experiment(
                               attempts=attempts)
                 release_lease(path)
 
-            for index, worker in list(workers.items()):
-                if not worker.is_alive():
-                    worker.join()
-                    events.record("worker_respawned", shard=index,
-                                  exit_code=worker.exitcode)
+            for index in range(processes):
+                if index not in workers:
                     workers[index] = spawn(index)
+                elif not workers[index].is_alive():
+                    respawn(index)
             time.sleep(_SUPERVISOR_POLL_SECONDS)
-
-        for worker in workers.values():
-            worker.join(timeout=2 * lease_timeout)
     finally:
+        # After a finished sweep the workers left are idle or re-running
+        # a done cell: SIGTERM drains them now rather than after their
+        # next idle re-scan.
         for worker in workers.values():
             if worker.is_alive():
                 worker.terminate()
                 worker.join()
         events.close()
 
-    final = merge_shard_records(paths, fingerprint)
     table = ResultTable()
     missing = []
     for cell in cells:
-        record = final.get(cell.key)
+        record = records.get(cell.key)
         if record is None:
             missing.append(cell.key)
         else:

@@ -14,13 +14,6 @@ from repro.measures.metrics import (
     matched_neighborhood_consistency,
     symmetric_substructure_score,
 )
-from repro.measures.significance import (
-    ComparisonResult,
-    bootstrap_mean_ci,
-    compare_algorithms,
-    paired_bootstrap_test,
-    wilcoxon_sign_test,
-)
 
 __all__ = [
     "ALL_MEASURES",
@@ -30,9 +23,4 @@ __all__ = [
     "induced_conserved_structure",
     "symmetric_substructure_score",
     "evaluate_all",
-    "bootstrap_mean_ci",
-    "paired_bootstrap_test",
-    "wilcoxon_sign_test",
-    "compare_algorithms",
-    "ComparisonResult",
 ]

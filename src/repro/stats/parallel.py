@@ -1,15 +1,13 @@
 """Fork-based fan-out for stats units — bit-identical to serial.
 
 Permutation and bootstrap resampling is an embarrassingly parallel
-inner sweep; this module runs it on the same pool idiom as the sweep
-executor (:func:`repro.harness.runner._run_sweep_parallel`): a fork
-(where available) process pool fed by a task queue, results streamed
-back over a result queue, and the **parent as the single journal
-writer**.  Bit-identity with a serial run is structural, not lucky:
-every unit computes from its own BLAKE2b-derived seed through
-chunk-indexed RNG streams (:mod:`repro.stats.resampling`), so which
-worker computes which unit — or in which order — cannot change a drawn
-resample.
+inner sweep; this module runs it on a fork (where available) process
+pool fed by a task queue, results streamed back over a result queue,
+and the **parent as the single journal writer**.  Bit-identity with a
+serial run is structural, not lucky: every unit computes from its own
+BLAKE2b-derived seed through chunk-indexed RNG streams
+(:mod:`repro.stats.resampling`), so which worker computes which unit —
+or in which order — cannot change a drawn resample.
 
 A unit that raises inside a worker is shipped back as an error and
 re-raised in the parent: statistics units are pure functions of

@@ -19,7 +19,6 @@ from repro.harness import (
     PROFILES,
     CellBudget,
     run_cell_with_budget,
-    run_cell_with_timeout,
 )
 from repro.noise import make_pair
 
@@ -152,6 +151,15 @@ class TestBudgetRunner:
         assert record.failed
         assert "MemoryError" in record.error or "died" in record.error
 
+    def test_child_error_captured(self):
+        """An error inside the child (here: an unknown algorithm) comes
+        back as a failed record, not as an exception in the parent."""
+        budget = CellBudget(time_seconds=30)
+        record = run_cell_with_budget("no-such-algorithm", PAIR, "pl", 0,
+                                      budget)
+        assert record.failed
+        assert record.error
+
     def test_dead_child_yields_exit_code_record(self):
         budget = CellBudget(time_seconds=60)
         record = run_cell_with_budget("_suddendeath", PAIR, "pl", 0, budget)
@@ -248,18 +256,3 @@ class TestRecordRetagging:
         assert record.dataset == "pl" and record.repetition == 5
         assert record.measures == {"accuracy": 0.75}
         assert record.peak_memory_bytes == 4096
-
-
-class TestTimeoutCompatibility:
-    def test_timeout_front_accepts_memory_limit(self):
-        record = run_cell_with_timeout("_hog", PAIR, "pl", 0,
-                                       timeout_seconds=120,
-                                       memory_limit_bytes=1 * GIB)
-        assert record.failed
-        assert "MemoryError" in record.error or "died" in record.error
-
-    def test_timeout_front_reports_dead_child(self):
-        record = run_cell_with_timeout("_suddendeath", PAIR, "pl", 0,
-                                       timeout_seconds=60)
-        assert record.failed
-        assert "died without result" in record.error

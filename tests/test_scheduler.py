@@ -40,6 +40,8 @@ from repro.harness.scheduler import (
     scan_stale_leases,
     try_acquire_lease,
 )
+from repro.noise import make_pair
+from repro.observability import counter_totals
 
 GRAPH = powerlaw_cluster_graph(40, 3, 0.3, seed=5)
 
@@ -229,6 +231,42 @@ class TestShardedSweep:
                                 progress=seen.append)
         assert seen == []  # nothing re-executed
         assert canonical(second) == canonical(first)
+
+    def test_instance_algorithms_share_one_artifact_cache(self, tmp_path):
+        """Each instance's algorithms run in one worker under one artifact
+        cache, as in a serial sweep: nsd reuses what isorank computed."""
+        def cache_counters(table):
+            counters = {}
+            for r in table.records:
+                totals = counter_totals(r.trace)
+                counters[(r.algorithm, r.noise_level)] = (
+                    totals.get("cache_hits", 0), totals.get("cache_misses", 0))
+            return counters
+
+        config = dict(cache=True, trace=True, **BASE_CONFIG)
+        serial = cache_counters(run_experiment(ExperimentConfig(**config),
+                                               {"pl": GRAPH}))
+        sharded = cache_counters(run_experiment(
+            ExperimentConfig(shards=2, **config), {"pl": GRAPH},
+            journal=str(tmp_path / "J")))
+        assert sharded == serial
+        assert all(hits > 0 for (name, _), (hits, _) in serial.items()
+                   if name == "nsd")
+
+    def test_raising_pair_factory_fails_its_cells(self):
+        """A pair factory error becomes failed records, not a worker
+        that dies and is respawned into the same error."""
+        def factory(graph, noise_type, level, seed):
+            if level > 0:
+                raise ValueError("no pair at this level")
+            return make_pair(graph, noise_type, level, seed=seed)
+
+        table = run_experiment(ExperimentConfig(workers=2, **BASE_CONFIG),
+                               {"pl": GRAPH}, pair_factory=factory)
+        failed = [r for r in table.records if r.failed]
+        assert sorted(r.algorithm for r in failed) == ["isorank", "nsd"]
+        assert all(r.noise_level > 0 for r in failed)
+        assert all(r.error.startswith("ValueError: no pair") for r in failed)
 
     def test_sharded_requires_journal_path(self):
         config = ExperimentConfig(shards=2, **BASE_CONFIG)
