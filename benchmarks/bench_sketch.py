@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from benchmarks.helpers import emit, paper_note
+from repro.context import RunContext
 from repro.graphs import powerlaw_cluster_graph
 from repro.harness import CellBudget, run_cell, run_cell_with_budget
 from repro.noise import make_pair
@@ -81,11 +82,12 @@ def _run_accuracy(profile):
 
     start = time.perf_counter()
     exact = run_cell("grasp", pair, "pl", 0, assignment="sg",
-                     measures=("accuracy",), trace=True)
+                     measures=("accuracy",), context=RunContext(trace=True))
     exact_time = time.perf_counter() - start
     start = time.perf_counter()
     sketched = run_cell("grasp", pair, "pl", 0, assignment="sg",
-                        measures=("accuracy",), trace=True, sketch=policy)
+                        measures=("accuracy",),
+                        context=RunContext(sketch=policy, trace=True))
     sketch_time = time.perf_counter() - start
     assert not exact.failed and not sketched.failed
     totals = counter_totals(sketched.trace)
@@ -143,8 +145,8 @@ def test_sketch_scale_guarantee(results_dir):
     pair = make_pair(graph, "one-way", 0.005, seed=11)
     start = time.perf_counter()
     record = run_cell("grasp", pair, "pl", 0, assignment="sg",
-                      measures=("accuracy",), trace=True,
-                      sketch=SketchPolicy())
+                      measures=("accuracy",),
+                      context=RunContext(sketch=SketchPolicy(), trace=True))
     elapsed = time.perf_counter() - start
     assert not record.failed, record.error
     totals = counter_totals(record.trace)
@@ -175,8 +177,8 @@ def test_sketch_memory_acceptance(results_dir):
     record = run_cell_with_budget(
         "grasp", pair, "pl", 0, budget, assignment="sg",
         measures=("accuracy",), seed=0,
-        algorithm_params={"k": 10, "q": 20}, trace=True,
-        sketch=SketchPolicy())
+        algorithm_params={"k": 10, "q": 20},
+        context=RunContext(sketch=SketchPolicy(), trace=True))
     elapsed = time.perf_counter() - start
     assert not record.failed, record.error
     totals = counter_totals(record.trace)

@@ -19,6 +19,7 @@ diagnostic mode).
 import time
 
 from benchmarks.helpers import emit
+from repro.context import RunContext
 from repro.graphs import powerlaw_cluster_graph
 from repro.harness import run_cell
 from repro.noise import make_pair
@@ -64,7 +65,8 @@ def _run(profile):
         untraced = time.perf_counter() - start
         start = time.perf_counter()
         traced_record = run_cell(name, pair, "pl", 0,
-                                 measures=("accuracy",), trace=True)
+                                 measures=("accuracy",),
+                                 context=RunContext(trace=True))
         traced = time.perf_counter() - start
         events = _instrumentation_events(traced_record)
         bound = events * per_call / untraced

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.algorithms import list_algorithms
+from repro.context import RunContext
 from repro.harness import (
     Profile,
     ResultTable,
@@ -115,7 +116,7 @@ def run_matrix(
                 record = run_cell(name, pair, dataset, repetition,
                                   assignment=assignment, measures=measures,
                                   seed=repetition, track_memory=track_memory,
-                                  trace=trace)
+                                  context=RunContext(trace=trace))
             table.add(record)
             if journal is not None:
                 journal.append(key, record)

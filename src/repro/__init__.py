@@ -45,9 +45,10 @@ from repro import (
 from repro.algorithms import get_algorithm, list_algorithms
 from repro.algorithms.base import AlignmentResult
 from repro.cache import ArtifactCache, artifact_cache, caching
+from repro.context import RunContext
 from repro.diagnostics import Diagnostic, capture_diagnostics
 from repro.exceptions import ReproError
-from repro.numerics import numerics_policy, set_numerics_policy
+from repro.numerics import numerics_policy
 
 __version__ = "1.0.0"
 
@@ -59,7 +60,7 @@ __all__ = [
     "Diagnostic",
     "capture_diagnostics",
     "numerics_policy",
-    "set_numerics_policy",
+    "RunContext",
     "ReproError",
     "ArtifactCache",
     "artifact_cache",

@@ -155,12 +155,19 @@ def sparse_sort_greedy(similarity) -> np.ndarray:
 def sparse_max_weight_matching(similarity) -> np.ndarray:
     """One-to-one alignment maximizing similarity over a sparse candidate set.
 
-    ``similarity`` is any SciPy sparse matrix (or dense array, which is
-    converted); entries absent from the sparsity pattern are ineligible
-    pairs.  Source rows with no eligible or assignable target map to -1.
+    ``similarity`` is any SciPy sparse matrix, whose entries absent from
+    the sparsity pattern are ineligible pairs, or a dense array, whose
+    every entry — exact zeros included — is eligible.  Source rows with
+    no eligible or assignable target map to -1.
     """
     was_sparse = sparse.issparse(similarity)
-    mat = sparse.csr_matrix(similarity, dtype=np.float64)
+    # A dense input gets an all-entries pattern: csr_matrix(dense) would
+    # drop its exact zeros, making those pairs ineligible.
+    mat = sparse.csr_matrix(
+        similarity if was_sparse else np.ones(np.shape(similarity)),
+        dtype=np.float64)
+    if not was_sparse:
+        mat.data = np.asarray(similarity, dtype=np.float64).ravel()
     if mat.nnz == 0:
         return np.full(mat.shape[0], -1, dtype=np.int64)
     if np.any(~np.isfinite(mat.data)):

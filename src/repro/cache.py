@@ -19,14 +19,15 @@ The design mirrors :mod:`repro.observability.trace`:
 
 * producers are wrapped unconditionally via :func:`cached_artifact`,
   which is a pure pass-through (one boolean check, then the producer)
-  unless caching is globally enabled *and* a cache scope is active;
-* :func:`set_caching` / :func:`caching` is the off-by-default global
-  toggle; :func:`artifact_cache` opens a collection scope holding one
-  :class:`ArtifactCache` — the harness opens one per sweep cell when
+  unless caching is enabled *and* a cache scope is active;
+* :func:`caching` is the off-by-default toggle (the ``cache`` field of
+  the current :class:`~repro.context.RunContext`);
+  :func:`artifact_cache` opens a collection scope holding one
+  :class:`ArtifactCache` — the harness opens one per sweep instance when
   ``ExperimentConfig(cache=True)`` (CLI ``--cache``) asks for it;
-* scopes are per-thread, which keeps serial and parallel sweeps
-  structurally identical in what they share (one cache per cell, never
-  across cells).
+* the toggle and the scopes are per-thread, which keeps serial and
+  parallel sweeps structurally identical in what they share (one cache
+  per instance, never across instances).
 
 Cached values are **frozen** (numpy arrays and scipy sparse buffers are
 marked read-only) before being stored or returned: every consumer gets
@@ -51,8 +52,10 @@ import sys
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from dataclasses import replace
+from typing import Callable, ContextManager, Dict, Iterator, Optional, Tuple
 
+from repro.context import RunContext, current_context
 from repro.observability import add_counter
 
 __all__ = [
@@ -62,7 +65,6 @@ __all__ = [
     "cached_artifact",
     "caching",
     "caching_enabled",
-    "set_caching",
     "canonicalize_params",
     "DEFAULT_MAX_BYTES",
 ]
@@ -73,32 +75,15 @@ __all__ = [
 # bounding a pathological cell.
 DEFAULT_MAX_BYTES = 256 * 2 ** 20
 
-# Module-level switch: the single check that makes disabled caching
-# near-free.  Per-cell scoping is handled by the scope stack below.
-_ENABLED = False
-
 
 def caching_enabled() -> bool:
-    """Whether the global caching switch is on."""
-    return _ENABLED
+    """Whether the current run context caches."""
+    return current_context().cache
 
 
-def set_caching(flag: bool) -> None:
-    """Flip the global caching switch (prefer the :func:`caching` scope)."""
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-@contextmanager
-def caching(flag: bool = True) -> Iterator[None]:
-    """Scoped version of :func:`set_caching`; restores the prior state."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    try:
-        yield
-    finally:
-        _ENABLED = previous
+def caching(flag: bool = True) -> ContextManager[RunContext]:
+    """Scope: the current run context with ``cache`` set to ``flag``."""
+    return replace(current_context(), cache=bool(flag)).enter()
 
 
 class _CacheState(threading.local):
@@ -349,11 +334,11 @@ class ArtifactCache:
 def active_cache() -> Optional[ArtifactCache]:
     """The innermost open cache, or ``None`` when caching is inert.
 
-    ``None`` unless the global toggle is on *and* a scope is active —
-    the same double gate the tracing layer uses, so instrumented
-    producers cost one boolean check in normal runs.
+    ``None`` unless the current run context caches *and* a scope is
+    active — the same double gate the tracing layer uses, so
+    instrumented producers cost one boolean check in normal runs.
     """
-    if not (_ENABLED and _STATE.stack):
+    if not (current_context().cache and _STATE.stack):
         return None
     return _STATE.stack[-1]
 
@@ -365,8 +350,8 @@ def artifact_cache(
 ) -> Iterator[ArtifactCache]:
     """Open a cache scope; yields the (possibly fresh) cache.
 
-    Only effective while caching is globally enabled (the harness
-    enters ``caching(True)`` alongside this scope).  Scopes nest: the
+    Only effective while the current run context caches (see
+    :func:`caching`).  Scopes nest: the
     innermost cache serves lookups, and leaving the scope restores the
     outer one — a cell-scoped cache can never leak artifacts into the
     next cell.

@@ -64,6 +64,7 @@ __all__ = [
     "DiskArtifactCache",
     "entry_key",
     "atomic_write_bytes",
+    "read_jsonl",
     "load_cache_events",
 ]
 
@@ -133,6 +134,38 @@ def atomic_write_bytes(path: Path, blob: bytes, fsync: bool = True) -> None:
     os.replace(tmp, path)
     if fsync:
         _fsync_dir(path.parent)
+
+
+def read_jsonl(path: Union[str, Path], offset: int = 0
+               ) -> Tuple[List[Dict[str, object]], int]:
+    """The complete entries of an append-only JSONL file from ``offset``.
+
+    A writer may be killed mid-append, so reading stops at the first
+    line with no trailing newline (a torn append) or that is not valid
+    JSON (a corrupt tail).  Returns the entries before it and the number
+    of bytes they span: a single writer truncates its file to
+    ``offset + consumed``, and a reader polling a live file resumes
+    there.  An unreadable file reads as empty.
+    """
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            raw = handle.read()
+    except OSError:
+        return [], 0
+    lines = raw.splitlines(keepends=True)
+    entries: List[Dict[str, object]] = []
+    for line in lines:
+        if not line.endswith(b"\n"):
+            break
+        try:
+            entries.append(json.loads(line))
+        except json.JSONDecodeError:
+            break
+    else:
+        return entries, len(raw)
+    # Every line before the stop produced exactly one entry.
+    return entries, sum(map(len, lines[:len(entries)]))
 
 
 class DiskArtifactCache:
@@ -475,16 +508,6 @@ def load_cache_events(cache_dir: Union[str, Path]) -> List[Dict[str, object]]:
     if not events_dir.is_dir():
         return events
     for path in sorted(events_dir.glob("*.jsonl")):
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            continue
-        for line in raw.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
+        events.extend(read_jsonl(path)[0])
     events.sort(key=lambda entry: entry.get("time", 0.0))
     return events

@@ -320,20 +320,15 @@ def _cmd_datasets(args, out) -> int:
 
 
 def _cmd_align(args, out) -> int:
-    from contextlib import ExitStack
-
-    from repro.numerics import numerics_policy
-    from repro.sketch import sketching
+    from repro.context import RunContext
 
     source = read_edgelist(args.source)
     target = read_edgelist(args.target)
     algorithm = get_algorithm(args.method)
-    policy = "strict" if args.strict_numerics else "sanitize"
-    sketch = _sketch_policy_from_args(args)
-    with ExitStack() as stack:
-        stack.enter_context(numerics_policy(policy))
-        if sketch is not None:
-            stack.enter_context(sketching(sketch))
+    context = RunContext(
+        numerics="strict" if args.strict_numerics else "sanitize",
+        sketch=_sketch_policy_from_args(args))
+    with context.enter():
         result = algorithm.align(source, target, assignment=args.assignment,
                                  seed=args.seed)
     for diagnostic in result.diagnostics:

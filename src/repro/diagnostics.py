@@ -24,9 +24,9 @@ serializable record:
 
 Collectors nest: an event is appended to *every* active scope, so an
 outer harness capture sees everything an inner algorithm capture sees.
-Scopes are per-thread (and therefore per-process: pool workers and budget
-children each collect their own), which keeps serial and parallel sweeps
-byte-identical in what they record.
+Scopes are per-thread (and therefore per-process: sweep workers and
+budget children each collect their own), which keeps serial and parallel
+sweeps byte-identical in what they record.
 
 Well-known kinds (see ``docs/api.md`` for the full vocabulary):
 

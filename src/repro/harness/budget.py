@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
+from repro.context import RunContext, current_context
 from repro.exceptions import ExperimentError
 from repro.harness.results import RunRecord
 from repro.noise import GraphPair
@@ -99,8 +99,7 @@ def _apply_memory_limit(memory_bytes: int) -> None:
 
 
 def _child(connection, algorithm_name, pair, assignment, measures, seed,
-           algorithm_params, track_memory, memory_bytes, strict_numerics,
-           trace, cache=False, sketch=None):
+           algorithm_params, track_memory, memory_bytes, context):
     """Child-process body: apply limits, run the cell, ship the record.
 
     The pipe carries a tagged stream: ``("diagnostic", dict)`` and
@@ -115,7 +114,7 @@ def _child(connection, algorithm_name, pair, assignment, measures, seed,
         _apply_memory_limit(memory_bytes)
     from repro.diagnostics import capture_diagnostics
     from repro.harness.runner import run_cell
-    from repro.observability import capture_trace, tracing
+    from repro.observability import capture_trace
 
     def _flush(tag, payload):
         try:
@@ -126,26 +125,22 @@ def _child(connection, algorithm_name, pair, assignment, measures, seed,
             pass
 
     try:
-        with ExitStack() as stack:
-            # Outer observer scopes: root spans and diagnostics propagate
-            # to *every* active scope, so these see everything the cell's
-            # own capture scopes (inside run_cell) see, as it happens.
-            stack.enter_context(capture_diagnostics(
-                observer=lambda d: _flush("diagnostic", d.to_dict())))
-            if trace:
-                stack.enter_context(tracing(True))
-                stack.enter_context(capture_trace(
-                    observer=lambda s: _flush("span", s.to_dict())))
-            # cache=True reuses a fork-inherited instance scope when the
-            # sweep opened one (warm reads; the child's writes die with
-            # it), and opens a cell-local cache otherwise (spawn, or a
-            # standalone budgeted call).
+        # Outer observer scopes: root spans and diagnostics propagate to
+        # *every* active scope, so these see everything the cell's own
+        # capture scopes (inside run_cell) see, as it happens.  Spans
+        # only exist when the context traces.
+        with capture_diagnostics(
+                observer=lambda d: _flush("diagnostic", d.to_dict())), \
+                capture_trace(observer=lambda s: _flush("span", s.to_dict())):
+            # A caching context reuses a fork-inherited instance scope
+            # when the sweep opened one (warm reads; the child's writes
+            # die with it), and opens a cell-local cache otherwise
+            # (spawn, or a standalone budgeted call).
             record = run_cell(
                 algorithm_name, pair, dataset="", repetition=0,
                 assignment=assignment, measures=measures, seed=seed,
                 track_memory=track_memory, algorithm_params=algorithm_params,
-                strict_numerics=strict_numerics, trace=trace, cache=cache,
-                sketch=sketch,
+                context=context,
             )
         connection.send(("record", record))
     except BaseException as exc:  # never let the child die silently
@@ -225,10 +220,7 @@ def run_cell_with_budget(
     seed: int = 0,
     track_memory: bool = False,
     algorithm_params: Optional[Dict] = None,
-    strict_numerics: bool = False,
-    trace: bool = False,
-    cache: bool = False,
-    sketch=None,
+    context: Optional[RunContext] = None,
 ) -> RunRecord:
     """Run one cell in a child process under a :class:`CellBudget`.
 
@@ -238,13 +230,15 @@ def run_cell_with_budget(
     died without result (exit code ...)"`` for abnormal deaths.  A
     memory-only budget (``time_seconds=None``) waits for the child
     indefinitely; only the rlimit (and abnormal death) can fail it.
-    ``strict_numerics`` is applied inside the child (the numerics policy
-    is per-process state and does not cross the fork boundary otherwise);
-    so are ``sketch`` (the :class:`~repro.sketch.SketchPolicy` scope) and
-    ``trace``, which additionally makes the failed timeout /
-    dead-child records carry a *partial* trace — the root spans the child
-    flushed before it was killed — plus every streamed diagnostic.
+    The child runs under ``context`` (a :class:`~repro.context.RunContext`;
+    ``None`` means this thread's current context), handed over as a
+    value under fork or spawn.  A tracing context additionally makes the
+    failed timeout / dead-child records carry a *partial* trace — the
+    root spans the child flushed before it was killed — plus every
+    streamed diagnostic.
     """
+    if context is None:
+        context = current_context()
     ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() \
         else mp.get_context()
     parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -252,11 +246,11 @@ def run_cell_with_budget(
         target=_child,
         args=(child_conn, algorithm_name, pair, assignment, tuple(measures),
               seed, algorithm_params, track_memory, budget.memory_bytes,
-              strict_numerics, trace, cache, sketch),
+              context),
     )
     process.start()
     child_conn.close()
-    partial = _PartialTelemetry(tracing=trace)
+    partial = _PartialTelemetry(tracing=context.trace)
     payload = None
     try:
         deadline = (None if budget.time_seconds is None

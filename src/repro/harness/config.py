@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.context import RunContext
 from repro.exceptions import ExperimentError
 from repro.harness.budget import CellBudget
 from repro.harness.retry import RetryPolicy
@@ -166,6 +167,19 @@ class ExperimentConfig:
             rank=int(self.sketch_rank),
             topk=int(self.similarity_topk),
             method=self.sketch_method,
+        )
+
+    def run_context(self) -> RunContext:
+        """The :class:`~repro.context.RunContext` every cell runs under.
+
+        Caching is on for ``cache`` or a ``cache_dir``: a disk tier needs
+        the in-memory tier above it.
+        """
+        return RunContext(
+            numerics="strict" if self.strict_numerics else "sanitize",
+            sketch=self.sketch_policy(),
+            trace=bool(self.trace),
+            cache=bool(self.cache) or self.cache_dir is not None,
         )
 
     def __post_init__(self):

@@ -36,6 +36,7 @@ import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.cache_disk import read_jsonl
 from repro.exceptions import ExperimentError
 from repro.harness.results import RunRecord
 
@@ -156,17 +157,11 @@ class RunJournal:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        raw = self.path.read_bytes()
-        good_bytes = 0
+        # A torn or corrupt tail from a crash mid-append is dropped: only
+        # the complete prefix before it is kept.
+        entries, good_bytes = read_jsonl(self.path)
         header_seen = False
-        for line in raw.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break  # truncated trailing line from a crash mid-append
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                break  # corrupt tail; keep only the prefix before it
-            good_bytes += len(line)
+        for entry in entries:
             kind = entry.get("kind")
             if kind == "header" and not header_seen:
                 header_seen = True
@@ -176,7 +171,7 @@ class RunJournal:
                 self._records[entry["key"]] = record
             elif kind == "stats":
                 self._stats[entry["key"]] = dict(entry["entry"])
-        if good_bytes < len(raw):
+        if good_bytes < self.path.stat().st_size:
             with open(self.path, "r+b") as handle:
                 handle.truncate(good_bytes)
 

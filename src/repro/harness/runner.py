@@ -13,21 +13,20 @@ The runner enforces the paper's protocol:
 from __future__ import annotations
 
 import hashlib
-import tempfile
 import traceback
 import tracemalloc
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-from contextlib import ExitStack
+from typing import (Callable, ContextManager, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.algorithms import get_algorithm
 from repro.algorithms.base import AlignmentAlgorithm
-from repro.cache import active_cache, artifact_cache, caching
+from repro.cache import ArtifactCache, active_cache, artifact_cache
+from repro.context import RunContext, current_context
 from repro.diagnostics import capture_diagnostics
 from repro.exceptions import ExperimentError
-from repro.numerics import numerics_policy
-from repro.observability import capture_trace, span, tracing
+from repro.observability import capture_trace, span
 from repro.harness.config import ExperimentConfig
 from repro.harness.journal import (
     RunJournal,
@@ -37,10 +36,9 @@ from repro.harness.journal import (
 )
 from repro.harness.results import ResultTable, RunRecord
 from repro.harness.retry import run_with_retry
-from repro.harness.scheduler import run_sharded_experiment
+from repro.harness.scheduler import run_sharded_experiment, scratch_directory
 from repro.measures import evaluate_all
 from repro.noise import GraphPair, make_pair
-from repro.sketch import SketchPolicy, sketching
 
 __all__ = ["cell_seed", "run_on_pair", "run_cell", "run_experiment"]
 
@@ -73,12 +71,11 @@ def run_on_pair(
     measures: Sequence[str] = ("accuracy", "s3", "mnc"),
     seed: int = 0,
     track_memory: bool = False,
-    trace: bool = False,
 ) -> Dict[str, object]:
     """Align one pair and evaluate; returns measure values plus timings.
 
-    ``trace=True`` enables stage tracing for this call (see
-    :mod:`repro.observability`); the result dict then carries the
+    Runs under the caller's :class:`~repro.context.RunContext`; when it
+    traces (see :mod:`repro.observability`), the result dict carries the
     serialized trace under ``"trace"`` (``None`` otherwise).
     """
     peak = 0
@@ -88,16 +85,11 @@ def run_on_pair(
     else:
         own_tracemalloc = False
     try:
-        with ExitStack() as stack:
-            if trace:
-                # Additive: never *disables* tracing a caller (run_cell)
-                # already turned on for the whole cell.
-                stack.enter_context(tracing(True))
-            result = algorithm.align(pair.source, pair.target,
-                                     assignment=assignment, seed=seed)
-            with span("evaluate"):
-                values = evaluate_all(pair.source, pair.target,
-                                      result.mapping, pair.ground_truth)
+        result = algorithm.align(pair.source, pair.target,
+                                 assignment=assignment, seed=seed)
+        with span("evaluate"):
+            values = evaluate_all(pair.source, pair.target,
+                                  result.mapping, pair.ground_truth)
     finally:
         if own_tracemalloc:
             _current, peak = tracemalloc.get_traced_memory()
@@ -123,10 +115,7 @@ def run_cell(
     seed: int = 0,
     track_memory: bool = False,
     algorithm_params: Optional[dict] = None,
-    strict_numerics: bool = False,
-    trace: bool = False,
-    cache: bool = False,
-    sketch: Optional[SketchPolicy] = None,
+    context: Optional[RunContext] = None,
 ) -> RunRecord:
     """One (algorithm × instance × repetition) cell as a :class:`RunRecord`.
 
@@ -140,46 +129,43 @@ def run_cell(
     Graceful-degradation events (preflight mitigations, watchdog repairs,
     solver fallbacks) are collected into the record's ``diagnostics`` —
     on failed records too, so a cell that degraded *and then* failed
-    keeps its trail.  ``strict_numerics=True`` switches the numerical
-    watchdog from sanitize-and-warn to fail-fast for this cell.
+    keeps its trail.
 
-    ``trace=True`` records the cell's stage trace into the record —
-    partially even on failure: a capture scope around the whole cell
-    keeps every span that closed before the crash (a span the exception
-    escaped through closes with ``status="error"``).
+    The cell runs under ``context`` (a :class:`~repro.context.RunContext`;
+    ``None`` means the caller's current context):
 
-    ``cache=True`` shares expensive per-graph intermediates through the
-    artifact cache (:mod:`repro.cache`) for the duration of this cell.
-    When a cache scope is already active — the sweep runner opens one
-    per *instance* so all algorithms of a cell share artifacts, and a
-    fork-based budget child inherits the parent's warm scope — it is
-    reused instead of opening a colder nested one.
-
-    ``sketch`` (a :class:`~repro.sketch.SketchPolicy`) opens a sketching
-    scope around the cell: above the policy threshold the spectral and
-    embedding substrates switch to randomized kernels and sparse top-k
-    similarity; below it the cell is bit-identical to an exact run.
+    * ``numerics="strict"`` switches the numerical watchdog from
+      sanitize-and-warn to fail-fast.
+    * ``sketch`` (a :class:`~repro.sketch.SketchPolicy`) switches the
+      spectral and embedding substrates to randomized kernels and sparse
+      top-k similarity above the policy threshold; below it the cell is
+      bit-identical to an exact run.
+    * ``trace`` records the cell's stage trace into the record —
+      partially even on failure: a capture scope around the whole cell
+      keeps every span that closed before the crash (a span the
+      exception escaped through closes with ``status="error"``).
+    * ``cache`` shares expensive per-graph intermediates through the
+      artifact cache (:mod:`repro.cache`) for the duration of this cell.
+      When a cache scope is already active — the sweep runner opens one
+      per *instance* so all algorithms of a cell share artifacts, and a
+      fork-based budget child inherits the parent's warm scope — it is
+      reused instead of opening a colder nested one.
     """
-    policy = "strict" if strict_numerics else "sanitize"
+    if context is None:
+        context = current_context()
     with ExitStack() as stack:
         events = stack.enter_context(capture_diagnostics())
-        stack.enter_context(numerics_policy(policy))
-        if sketch is not None:
-            stack.enter_context(sketching(sketch))
-        if cache:
-            stack.enter_context(caching(True))
-            if active_cache() is None:
-                stack.enter_context(artifact_cache())
-        cell_trace = None
-        if trace:
-            stack.enter_context(tracing(True))
-            cell_trace = stack.enter_context(capture_trace())
+        stack.enter_context(context.enter())
+        if context.cache and active_cache() is None:
+            stack.enter_context(artifact_cache())
+        cell_trace = (stack.enter_context(capture_trace())
+                      if context.trace else None)
         try:
             algorithm = get_algorithm(algorithm_name,
                                       **(algorithm_params or {}))
             outcome = run_on_pair(algorithm, pair, assignment=assignment,
                                   measures=measures, seed=seed,
-                                  track_memory=track_memory, trace=trace)
+                                  track_memory=track_memory)
             return RunRecord(
                 algorithm=algorithm_name,
                 dataset=dataset,
@@ -298,10 +284,10 @@ def run_experiment(
         journal = RunJournal(journal, fingerprint=config_fingerprint(config))
     try:
         if int(getattr(config, "workers", 1)) > 1:
-            with tempfile.TemporaryDirectory() as scratch:
+            with scratch_directory() as scratch:
                 table = run_sharded_experiment(
                     config, graphs, factory, progress,
-                    Path(scratch) / "sweep.jsonl", mirror=journal)
+                    scratch / "sweep.jsonl", mirror=journal)
         else:
             table = _run_sweep(config, graphs, factory, progress, journal)
     finally:
@@ -338,23 +324,23 @@ def _attach_stats(config: ExperimentConfig, table: ResultTable,
     return table
 
 
-def _instance_cache(config):
-    """The artifact-cache context pieces one sweep instance should open.
+def _instance_cache(config: ExperimentConfig
+                    ) -> Callable[[], ContextManager]:
+    """The opener of one sweep instance's artifact-cache scope (a no-op
+    when the config's run context does not cache).
 
-    Returns ``(use_cache, disk)``: whether caching is on at all (an
-    explicit ``cache=True`` *or* a ``cache_dir`` — a disk cache with no
-    in-memory tier above it would be pointless), and the shared
-    :class:`~repro.cache_disk.DiskArtifactCache` backing (or ``None``).
-    The disk cache object is cheap — per-sweep state is all on disk — so
-    callers may construct one per sweep or per worker freely.
+    Every algorithm of an instance shares one cache, and it dies with
+    the instance, so artifacts never leak across noisy pairs.  With a
+    ``cache_dir`` one :class:`~repro.cache_disk.DiskArtifactCache` backs
+    every instance's cache, across instances and processes.
     """
-    cache_dir = getattr(config, "cache_dir", None)
-    use_cache = bool(getattr(config, "cache", False)) or cache_dir is not None
+    if not config.run_context().cache:
+        return nullcontext
     disk = None
-    if cache_dir:
+    if config.cache_dir:
         from repro.cache_disk import DiskArtifactCache
-        disk = DiskArtifactCache(cache_dir)
-    return use_cache, disk
+        disk = DiskArtifactCache(config.cache_dir)
+    return lambda: artifact_cache(ArtifactCache(backing=disk))
 
 
 def _collect_instances(config, graphs, journal, table
@@ -387,23 +373,12 @@ def _collect_instances(config, graphs, journal, table
 def _run_sweep(config, graphs, factory, progress, journal) -> ResultTable:
     table = ResultTable()
     base_seed = int(config.seed)
-    use_cache, disk = _instance_cache(config)
+    open_cache = _instance_cache(config)
     for dataset, noise_type, level, rep, pending in _collect_instances(
             config, graphs, journal, table):
         seed = cell_seed(base_seed, dataset, noise_type, level, rep)
         pair = factory(graphs[dataset], noise_type, level, seed)
-        with ExitStack() as scope:
-            # One artifact cache per *instance*: every pending algorithm
-            # of this cell shares one eigendecomposition, one degree
-            # prior, one stochastic normalization per graph.  The scope
-            # dies with the instance, so artifacts never leak across
-            # noisy pairs — but with a ``cache_dir`` the disk tier under
-            # it persists them across instances and processes.
-            if use_cache:
-                from repro.cache import ArtifactCache
-                scope.enter_context(caching(True))
-                scope.enter_context(artifact_cache(
-                    ArtifactCache(backing=disk)))
+        with open_cache():
             for name in pending:
                 if progress is not None:
                     progress(
@@ -421,40 +396,22 @@ def _run_sweep(config, graphs, factory, progress, journal) -> ResultTable:
 
 def _execute_cell(config: ExperimentConfig, name: str, pair: GraphPair,
                   dataset: str, rep: int, seed: int) -> RunRecord:
-    """One cell under the config's budget and retry policy."""
-    strict = bool(getattr(config, "strict_numerics", False))
-    trace = bool(getattr(config, "trace", False))
-    cache = bool(getattr(config, "cache", False))
-    sketch = (config.sketch_policy()
-              if hasattr(config, "sketch_policy") else None)
+    """One cell under the config's budget, retry policy and run context."""
+    kwargs = dict(
+        assignment=config.assignment,
+        measures=config.measures,
+        seed=seed,
+        track_memory=config.track_memory,
+        algorithm_params=config.algorithm_params.get(name),
+        context=config.run_context(),
+    )
 
     def attempt(_attempt_number: int) -> RunRecord:
         if config.budget is not None:
             from repro.harness.budget import run_cell_with_budget
-            return run_cell_with_budget(
-                name, pair, dataset, rep, config.budget,
-                assignment=config.assignment,
-                measures=config.measures,
-                seed=seed,
-                track_memory=config.track_memory,
-                algorithm_params=config.algorithm_params.get(name),
-                strict_numerics=strict,
-                trace=trace,
-                cache=cache,
-                sketch=sketch,
-            )
-        return run_cell(
-            name, pair, dataset, rep,
-            assignment=config.assignment,
-            measures=config.measures,
-            seed=seed,
-            track_memory=config.track_memory,
-            algorithm_params=config.algorithm_params.get(name),
-            strict_numerics=strict,
-            trace=trace,
-            cache=cache,
-            sketch=sketch,
-        )
+            return run_cell_with_budget(name, pair, dataset, rep,
+                                        config.budget, **kwargs)
+        return run_cell(name, pair, dataset, rep, **kwargs)
 
     if config.retry_policy is not None:
         # The cell seed doubles as the jitter seed so a rerun of the same

@@ -46,14 +46,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import signal
 import socket
+import tempfile
 import threading
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
+from repro.cache_disk import atomic_write_bytes, read_jsonl
 from repro.exceptions import ExperimentError
 from repro.harness.journal import (
     RunJournal,
@@ -78,6 +83,7 @@ __all__ = [
     "load_event_segments",
     "load_recovery_events",
     "merge_shard_records",
+    "scratch_directory",
     "run_sharded_experiment",
 ]
 
@@ -146,12 +152,6 @@ class ShardPaths:
         self.base.parent.mkdir(parents=True, exist_ok=True)
         self.lease_dir.mkdir(parents=True, exist_ok=True)
         self.done_dir.mkdir(parents=True, exist_ok=True)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +224,8 @@ def refresh_lease(path: Path, key: str, attempt: int,
                   attempt=int(attempt), acquired_at=acquired_at,
                   heartbeat=time.time())
     try:
-        _atomic_write_text(path, lease.to_json())
+        atomic_write_bytes(path, lease.to_json().encode("utf-8"),
+                           fsync=False)
     except OSError:
         # Lease may have been reclaimed under us; the run loop handles
         # the consequences (duplicate records dedupe on merge).
@@ -320,7 +321,8 @@ def bump_attempts(lease_dir: Path, key: str) -> int:
     """Record one more orphaned attempt; returns the new total."""
     total = read_attempts(lease_dir, key) + 1
     try:
-        _atomic_write_text(attempts_path(lease_dir, key), f"{total}\n")
+        atomic_write_bytes(attempts_path(lease_dir, key),
+                           f"{total}\n".encode("utf-8"), fsync=False)
     except OSError:
         pass
     return total
@@ -451,10 +453,6 @@ class EventLog:
                 self._handle = None
 
 
-# Back-compat alias for the pre-rotation private name.
-_EventLog = EventLog
-
-
 def event_log_segments(path: Union[str, Path]) -> List[Path]:
     """Rotated segments of one event log, oldest first (live file excluded)."""
     path = Path(path)
@@ -467,31 +465,12 @@ def event_log_segments(path: Union[str, Path]) -> List[Path]:
     return [segment for _, segment in sorted(found)]
 
 
-def _read_event_file(path: Path) -> List[Dict[str, object]]:
-    """One segment's events, tolerating a truncated trailing line (the
-    writer can be SIGKILLed mid-append like anyone else)."""
-    events: List[Dict[str, object]] = []
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return events
-    for line in raw.splitlines(keepends=True):
-        if not line.endswith(b"\n"):
-            break
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            break
-    return events
-
-
 def load_event_segments(path: Union[str, Path]) -> List[Dict[str, object]]:
     """Every event across rotated segments plus the live file, in order."""
     path = Path(path)
     events: List[Dict[str, object]] = []
-    for segment in event_log_segments(path):
-        events.extend(_read_event_file(segment))
-    events.extend(_read_event_file(path))
+    for segment in [*event_log_segments(path), path]:
+        events.extend(read_jsonl(segment)[0])
     return events
 
 
@@ -556,21 +535,9 @@ def _read_new_records(paths: ShardPaths, fingerprint: Optional[str],
     """
     for path in paths.existing_shards():
         start = offsets.get(path, 0)
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(start)
-                raw = handle.read()
-        except OSError:
-            continue
-        for line in raw.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            start += len(line)
-            offsets[path] = start
+        entries, consumed = read_jsonl(path, start)
+        offsets[path] = start + consumed
+        for entry in entries:
             kind = entry.get("kind")
             if kind == "header":
                 theirs = entry.get("fingerprint")
@@ -606,7 +573,8 @@ def _done_path(paths: ShardPaths, key: str) -> Path:
 
 def _publish_done(paths: ShardPaths, key: str) -> None:
     try:
-        _atomic_write_text(_done_path(paths, key), key + "\n")
+        atomic_write_bytes(_done_path(paths, key),
+                           f"{key}\n".encode("utf-8"), fsync=False)
     except OSError:
         pass  # worst case the cell is re-run; merge dedupes
 
@@ -696,9 +664,6 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
     kill) leaves nothing for stale-lease reclaim to clean up.  SIGKILL
     remains the covered-by-reclaim death path.
     """
-    from contextlib import ExitStack
-
-    from repro.cache import ArtifactCache, artifact_cache, caching
     from repro.harness.runner import (_describe_failure, _execute_cell,
                                       _instance_cache, cell_seed)
 
@@ -706,7 +671,7 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
     processes = _process_count(config)
     paths = ShardPaths(base, processes)
     journal = RunJournal(paths.shard(shard_index), fingerprint=fingerprint)
-    use_cache, disk = _instance_cache(config)
+    open_cache = _instance_cache(config)
     cells = _enumerate_cells(config, graphs)
     if not cells:
         journal.close()
@@ -783,12 +748,7 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
                                                     cell.noise_type,
                                                     cell.level, seed)
                                 last_instance = cell.instance
-                                if use_cache:
-                                    instance_scope.enter_context(
-                                        caching(True))
-                                    instance_scope.enter_context(
-                                        artifact_cache(
-                                            ArtifactCache(backing=disk)))
+                                instance_scope.enter_context(open_cache())
                             record = _execute_cell(
                                 config, cell.algorithm, last_pair,
                                 cell.dataset, cell.rep, seed)
@@ -831,12 +791,6 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
                 # Everything left is leased elsewhere; wait for either a
                 # completion or a supervisor reclaim.
                 time.sleep(_WORKER_IDLE_SECONDS)
-    except BaseException:
-        # A worker must never take the whole fleet down through an
-        # exception escaping to multiprocessing's default handler with
-        # leases still held; release and let the supervisor reclaim the
-        # attempt accounting as usual.
-        raise
     finally:
         if held is not None:
             heartbeat.untrack(held[1])
@@ -853,6 +807,27 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
 
 # ----------------------------------------------------------------------
 # Supervisor
+
+_SCRATCH_PREFIX = "repro-sweep-"
+
+
+@contextmanager
+def scratch_directory() -> Iterator[Path]:
+    """A temporary directory for one ``workers=N`` sweep's shards.
+
+    Named after this supervisor's host and pid, as leases are, so that a
+    directory a SIGKILLed supervisor could not remove is recognisable:
+    every such leftover whose same-host pid is dead is removed before a
+    new directory is created.
+    """
+    prefix = f"{_SCRATCH_PREFIX}{socket.gethostname()}-"
+    for leftover in Path(tempfile.gettempdir()).glob(f"{prefix}*"):
+        pid = leftover.name[len(prefix):].split("-", 1)[0]
+        if pid.isdigit() and not _pid_alive(int(pid)):
+            shutil.rmtree(leftover, ignore_errors=True)
+    with tempfile.TemporaryDirectory(
+            prefix=f"{prefix}{os.getpid()}-") as scratch:
+        yield Path(scratch)
 
 
 def _progress_message(key: str) -> str:

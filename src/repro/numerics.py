@@ -15,7 +15,8 @@ one of two policies:
 * ``"strict"`` — raise :class:`~repro.exceptions.NumericsError`
   immediately (fail fast; the harness turns it into a failed record).
   Enabled per-run with the CLI's ``--strict-numerics`` or per-scope with
-  :func:`numerics_policy`.
+  :func:`numerics_policy`; the policy is the ``numerics`` field of the
+  current :class:`~repro.context.RunContext`.
 
 An identically-zero similarity matrix carries no signal — every matching
 extracted from it is arbitrary — so the watchdog flags it too (warning
@@ -24,65 +25,33 @@ under ``"sanitize"``, error under ``"strict"``).
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Iterator
+from dataclasses import replace
+from typing import ContextManager
 
 import numpy as np
 from scipy import sparse
 
+from repro.context import NUMERICS_POLICIES, RunContext, current_context
 from repro.diagnostics import record_diagnostic
 from repro.exceptions import NumericsError
 
 __all__ = [
     "NUMERICS_POLICIES",
     "get_numerics_policy",
-    "set_numerics_policy",
     "numerics_policy",
     "check_similarity",
     "assert_finite",
 ]
 
-NUMERICS_POLICIES = ("sanitize", "strict")
-
-
-class _PolicyState(threading.local):
-    def __init__(self):
-        self.policy = "sanitize"
-
-
-_STATE = _PolicyState()
-
-
-def _validate_policy(policy: str) -> str:
-    if policy not in NUMERICS_POLICIES:
-        raise NumericsError(
-            f"unknown numerics policy {policy!r}; "
-            f"choose from {NUMERICS_POLICIES}"
-        )
-    return policy
-
 
 def get_numerics_policy() -> str:
     """The active policy for this thread (``"sanitize"`` or ``"strict"``)."""
-    return _STATE.policy
+    return current_context().numerics
 
 
-def set_numerics_policy(policy: str) -> str:
-    """Set the policy; returns the previous one (for manual restore)."""
-    previous = _STATE.policy
-    _STATE.policy = _validate_policy(policy)
-    return previous
-
-
-@contextmanager
-def numerics_policy(policy: str) -> Iterator[None]:
+def numerics_policy(policy: str) -> ContextManager[RunContext]:
     """Scoped policy override, restored on exit even on error."""
-    previous = set_numerics_policy(policy)
-    try:
-        yield
-    finally:
-        _STATE.policy = previous
+    return replace(current_context(), numerics=policy).enter()
 
 
 def assert_finite(values, stage: str, name: str = "matrix") -> None:

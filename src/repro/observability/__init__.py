@@ -2,9 +2,9 @@
 
 See :mod:`repro.observability.trace` for the span API and
 :mod:`repro.observability.counters` for the counter registry.  The
-layer is inert (near-zero cost) unless enabled via
-:func:`set_tracing`/:func:`tracing` *and* collected via
-:func:`capture_trace` — the harness does both when a run asks for
+layer is inert (near-zero cost) unless enabled via :func:`tracing` (the
+``trace`` field of :class:`repro.context.RunContext`) *and* collected
+via :func:`capture_trace` — the harness does both when a run asks for
 ``trace=True`` (CLI: ``--trace``).
 """
 
@@ -16,7 +16,6 @@ from repro.observability.trace import (
     counter_totals,
     span,
     stage_rollup,
-    set_tracing,
     trace_clock,
     trace_structure,
     tracing,
@@ -32,7 +31,6 @@ __all__ = [
     "counter_totals",
     "span",
     "stage_rollup",
-    "set_tracing",
     "trace_clock",
     "trace_structure",
     "tracing",

@@ -20,6 +20,7 @@ gate), but instrumented library code should register here.
 
 from __future__ import annotations
 
+from repro.context import current_context
 from repro.observability import trace as _trace
 
 __all__ = ["KNOWN_COUNTERS", "add_counter"]
@@ -69,7 +70,7 @@ def add_counter(name: str, value: int = 1) -> None:
     No-op when tracing is disabled or no capture scope is active.
     ``value`` must be non-negative — counters only ever count up.
     """
-    if not _trace._ENABLED:
+    if not current_context().trace:
         return
     state = _trace._STATE
     if not state.scopes:

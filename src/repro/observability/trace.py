@@ -11,17 +11,19 @@ the innermost open span.
 The design mirrors :mod:`repro.diagnostics`:
 
 * :func:`span` is called at the site of the work, deep inside algorithm
-  and solver code.  It is a no-op unless tracing is globally enabled
-  *and* someone upstream opened a collection scope, so library code can
-  instrument unconditionally with no measurable cost in normal runs.
+  and solver code.  It is a no-op unless the current
+  :class:`~repro.context.RunContext` traces *and* someone upstream
+  opened a collection scope, so library code can instrument
+  unconditionally with no measurable cost in normal runs.
 * :func:`capture_trace` is the collection scope.
   :meth:`~repro.algorithms.base.AlignmentAlgorithm.align` opens one
   around the pipeline so every span lands in
   :attr:`AlignmentResult.trace`; the harness opens another around each
   cell so spans survive into the :class:`RunRecord` even when the cell
   fails mid-stage.
-* Scopes are per-thread (and therefore per-process), which keeps serial
-  and parallel sweeps structurally identical in what they record.
+* The tracing switch and the collection scopes are per-thread (and
+  therefore per-process), which keeps serial and parallel sweeps
+  structurally identical in what they record.
 
 A closed span attaches to its parent span when one is open, otherwise it
 is appended as a *root* span to every active scope (an outer harness
@@ -34,10 +36,11 @@ Memory attribution uses :mod:`tracemalloc` windows when tracing is on
 ancestors so a parent's peak is never below a child's) and falls back to
 RSS high-water sampling otherwise.
 
-Enable globally with :func:`set_tracing` / the :func:`tracing` context
-manager; the harness does this per cell when asked to trace.  The clocks
-are injectable (:func:`trace_clock`) so the golden-trace test suite can
-assert on deterministic values instead of wall time.
+Enable with the :func:`tracing` scope (the ``trace`` field of the
+current run context); the harness runs each cell under a context that
+traces when asked to.  The clocks are injectable (:func:`trace_clock`)
+so the golden-trace test suite can assert on deterministic values
+instead of wall time.
 """
 
 from __future__ import annotations
@@ -46,8 +49,11 @@ import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (Callable, ContextManager, Dict, Iterator, List, Optional,
+                    Tuple)
+
+from repro.context import RunContext, current_context
 
 __all__ = [
     "Span",
@@ -55,17 +61,12 @@ __all__ = [
     "span",
     "capture_trace",
     "tracing",
-    "set_tracing",
     "tracing_enabled",
     "trace_clock",
     "stage_rollup",
     "counter_totals",
     "trace_structure",
 ]
-
-# Module-level switch: the single check that makes disabled tracing
-# near-free.  Per-cell scoping is handled by the collector stack below.
-_ENABLED = False
 
 # Injectable clocks (the golden-trace tests swap in a fake monotonic
 # clock so no assertion ever depends on real time).
@@ -74,26 +75,13 @@ _CPU_CLOCK = time.process_time
 
 
 def tracing_enabled() -> bool:
-    """Whether the global tracing switch is on."""
-    return _ENABLED
+    """Whether the current run context traces."""
+    return current_context().trace
 
 
-def set_tracing(flag: bool) -> None:
-    """Flip the global tracing switch (prefer the :func:`tracing` scope)."""
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-@contextmanager
-def tracing(flag: bool = True) -> Iterator[None]:
-    """Scoped version of :func:`set_tracing`; restores the prior state."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    try:
-        yield
-    finally:
-        _ENABLED = previous
+def tracing(flag: bool = True) -> ContextManager[RunContext]:
+    """Scope: the current run context with ``trace`` set to ``flag``."""
+    return replace(current_context(), trace=bool(flag)).enter()
 
 
 @contextmanager
@@ -273,7 +261,7 @@ def span(stage: str) -> Iterator[Optional[Span]]:
     propagates.
     """
     state = _STATE
-    if not (_ENABLED and state.scopes):
+    if not (current_context().trace and state.scopes):
         yield None
         return
     record = Span(stage=str(stage))

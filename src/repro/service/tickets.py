@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cache import canonicalize_params
+from repro.cache_disk import read_jsonl
 from repro.exceptions import ExperimentError
 
 __all__ = [
@@ -212,22 +213,6 @@ class TicketStore:
     # -- folding -----------------------------------------------------------
 
     @staticmethod
-    def _read_segment(path: Path) -> List[Dict[str, object]]:
-        entries: List[Dict[str, object]] = []
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return entries
-        for line in raw.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break  # torn tail from a crash mid-append
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
-        return entries
-
-    @staticmethod
     def _fold(entries: List[Dict[str, object]]) -> Dict[str, Ticket]:
         """Replay entries into folded tickets.
 
@@ -288,7 +273,7 @@ class TicketStore:
         with self._lock:
             entries: List[Dict[str, object]] = []
             for path in sorted(self.root.glob("*.jsonl")):
-                entries.extend(self._read_segment(path))
+                entries.extend(read_jsonl(path)[0])
             self._tickets = self._fold(entries)
 
     # -- writing -----------------------------------------------------------

@@ -8,14 +8,13 @@ to *sketched* kernels (randomized SVD / Nyström,
 top-k representation (:mod:`repro.embedding.topk`), which together keep
 peak memory linear in the graph size.
 
-The policy is ambient state, scoped exactly like the numerics policy and
-the artifact cache: the harness opens a :func:`sketching` scope around
-each cell (from ``ExperimentConfig.sketch_policy()``), library code asks
+The policy is the ``sketch`` field of the current
+:class:`~repro.context.RunContext`: the harness runs each cell under the
+config's context (``ExperimentConfig.run_context()``), :func:`sketching`
+scopes a policy around any other code, library code asks
 :func:`sketch_policy_for` whether sketching applies at its input size,
 and direct API users who never opt in get the exact path with zero
-overhead.  Scopes are per-thread (and therefore per-process: pool
-workers and budget children receive the policy explicitly, like the
-numerics flags, because thread-local state does not survive ``spawn``).
+overhead.
 
 Below the threshold a sketch-enabled run is **bit-identical** to an
 exact one — the policy simply never applies — which is what keeps small
@@ -24,11 +23,10 @@ sweeps reproducible with ``--sketch`` on or off.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import ContextManager, Optional
 
+from repro.context import RunContext, current_context
 from repro.exceptions import ExperimentError
 
 __all__ = [
@@ -112,32 +110,18 @@ class SketchPolicy:
         return max(rank, int(default))
 
 
-class _State(threading.local):
-    def __init__(self):
-        self.policy: Optional[SketchPolicy] = None
-
-
-_STATE = _State()
-
-
 def active_sketch_policy() -> Optional[SketchPolicy]:
     """The policy of the innermost open :func:`sketching` scope."""
-    return _STATE.policy
+    return current_context().sketch
 
 
-@contextmanager
-def sketching(policy: Optional[SketchPolicy]) -> Iterator[Optional[SketchPolicy]]:
+def sketching(policy: Optional[SketchPolicy]) -> ContextManager[RunContext]:
     """Scope under which sketched kernels are active.
 
     ``None`` is accepted and means "explicitly exact" — it shadows any
     outer scope, which is how a sub-computation can opt back out.
     """
-    previous = _STATE.policy
-    _STATE.policy = policy
-    try:
-        yield policy
-    finally:
-        _STATE.policy = previous
+    return replace(current_context(), sketch=policy).enter()
 
 
 def sketch_policy_for(*sizes: int) -> Optional[SketchPolicy]:
@@ -148,7 +132,7 @@ def sketch_policy_for(*sizes: int) -> Optional[SketchPolicy]:
     returns the policy only when a scope is open *and* the size crosses
     its threshold — callers need no separate enabled/threshold checks.
     """
-    policy = _STATE.policy
+    policy = current_context().sketch
     if policy is not None and policy.applies_to(*sizes):
         return policy
     return None

@@ -150,6 +150,13 @@ class TestSparseMwm:
         value = lambda m: sim[np.arange(12), m].sum()
         assert value(sparse_map) == pytest.approx(value(dense))
 
+    def test_dense_exact_zeros_are_eligible(self):
+        """Regression: dense input went through csr_matrix, which drops
+        exact zeros, so the zero diagonal (the optimum) was ineligible."""
+        mapping = sparse_max_weight_matching(np.array([[0.0, -1.0],
+                                                       [-1.0, 0.0]]))
+        assert mapping.tolist() == [0, 1]
+
     def test_greedy_fallback_when_no_perfect_matching(self):
         # Two rows compete for a single eligible column.
         sim = sparse.csr_matrix(np.array([[0.9, 0.0], [0.5, 0.0]]))

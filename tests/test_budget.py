@@ -13,6 +13,7 @@ from repro.algorithms.base import (
     AlignmentAlgorithm,
     register_algorithm,
 )
+from repro.context import RunContext
 from repro.exceptions import ExperimentError
 from repro.graphs import powerlaw_cluster_graph
 from repro.harness import (
@@ -191,7 +192,7 @@ class TestPartialTelemetry:
         budget = CellBudget(time_seconds=2.0, grace_seconds=0.5)
         with inject_fault("isorank", FaultSpec(mode="hang")):
             record = run_cell_with_budget("isorank", PAIR, "pl", 0, budget,
-                                          trace=True)
+                                          context=RunContext(trace=True))
         assert record.failed
         assert "timeout" in record.error
         # The hang fires inside the similarity stage, so the preflight
@@ -204,7 +205,7 @@ class TestPartialTelemetry:
     def test_sudden_death_keeps_flushed_partial_trace(self):
         budget = CellBudget(time_seconds=60)
         record = run_cell_with_budget("_suddendeath", PAIR, "pl", 0, budget,
-                                      trace=True)
+                                      context=RunContext(trace=True))
         assert record.failed
         assert "died without result" in record.error
         assert record.trace is not None

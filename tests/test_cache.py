@@ -33,7 +33,6 @@ from repro.cache import (
     caching,
     caching_enabled,
     canonicalize_params,
-    set_caching,
 )
 from repro.graphs import Graph, powerlaw_cluster_graph
 from repro.graphs.matrices import (
@@ -273,13 +272,10 @@ class TestScoping:
         assert not caching_enabled()
 
     def test_set_caching_restores_via_context(self):
-        set_caching(True)
-        try:
+        with caching(True):
             with caching(False):
                 assert not caching_enabled()
             assert caching_enabled()
-        finally:
-            set_caching(False)
 
     def test_nested_scopes_innermost_wins(self):
         with caching(True), artifact_cache() as outer:

@@ -16,6 +16,7 @@ import pytest
 import repro
 from repro.algorithms import get_algorithm
 from repro.algorithms.base import ALGORITHM_REGISTRY, _expand_mapping
+from repro.context import RunContext
 from repro.diagnostics import Diagnostic, capture_diagnostics, record_diagnostic
 from repro.exceptions import NumericsError, PreflightError
 from repro.faults import FaultSpec, inject_fault
@@ -160,7 +161,7 @@ class TestNumericalWatchdog:
     def test_nan_fault_fails_cell_under_strict(self):
         with inject_fault("isorank", FaultSpec(mode="nan")):
             record = run_cell("isorank", PAIR, "pl", 0,
-                              strict_numerics=True)
+                              context=RunContext(numerics="strict"))
         assert record.failed
         assert record.status == "failed"
         assert "NumericsError" in record.error

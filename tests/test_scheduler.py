@@ -9,8 +9,10 @@ no-fault case.
 
 import json
 import os
+import socket
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -306,6 +308,25 @@ class TestShardedSweep:
         assert any(e["key"] == key and e["reason"] == "dead_pid"
                    and e.get("at_startup") for e in reclaims)
         assert read_attempts(paths.lease_dir, key) == 1
+
+    def test_workers_sweep_removes_dead_supervisors_scratch(
+            self, tmp_path, monkeypatch):
+        """A SIGKILLed ``workers=N`` supervisor cannot remove its scratch
+        directory; the next sweep on the host removes every one whose
+        supervisor pid is dead and keeps a live supervisor's."""
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        prefix = f"repro-sweep-{socket.gethostname()}-"
+        dead = tmp_path / f"{prefix}{child.pid}-left"
+        live = tmp_path / f"{prefix}{os.getpid()}-busy"
+        for leftover in (dead, live):
+            (leftover / "sweep.jsonl.leases").mkdir(parents=True)
+        table = run_experiment(ExperimentConfig(workers=2, **BASE_CONFIG),
+                               {"pl": GRAPH})
+        assert len(table) == 4
+        assert not dead.exists()
+        assert list(tmp_path.glob(f"{prefix}{os.getpid()}-*")) == [live]
 
     def test_orphan_attempt_bound_yields_failed_record(self, tmp_path):
         """A cell whose attempts tombstone already exceeds the bound is

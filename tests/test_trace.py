@@ -12,7 +12,6 @@ from repro.observability import (
     counter_totals,
     span,
     stage_rollup,
-    set_tracing,
     trace_clock,
     trace_structure,
     tracing,
@@ -38,9 +37,8 @@ class TestSwitch:
         assert not tracing_enabled()
 
     def test_set_tracing_flips_and_restores(self):
-        set_tracing(True)
-        assert tracing_enabled()
-        set_tracing(False)
+        with tracing(True):
+            assert tracing_enabled()
         assert not tracing_enabled()
 
     def test_tracing_scope_restores_prior_state(self):
