@@ -539,7 +539,7 @@ def _cmd_stats(args, out) -> int:
 def _cmd_serve(args, out) -> int:
     import json
 
-    from repro.service import (AlignmentService, TicketStore,
+    from repro.service import (AlignmentService, DurableRequestQueue,
                                load_service_events, read_health)
 
     if args.status:
@@ -549,9 +549,7 @@ def _cmd_serve(args, out) -> int:
                       "on this directory?)\n")
         else:
             out.write(json.dumps(health, sort_keys=True, indent=2) + "\n")
-        store = TicketStore(f"{args.service_dir}/tickets")
-        counts = store.counts()
-        store.close()
+        counts = DurableRequestQueue(f"{args.service_dir}/queue").counts()
         out.write("tickets: " + "  ".join(
             f"{state}={count}" for state, count in counts.items()) + "\n")
         events = load_service_events(args.service_dir)

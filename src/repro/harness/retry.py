@@ -14,11 +14,12 @@ delay, capped).  Without it, N sharded workers that hit the same
 transient failure — a briefly overloaded filesystem, a BLAS hiccup under
 contention — all sleep the same deterministic schedule and retry in
 lockstep, re-creating the very contention they are backing off from.
-Jitter defaults to *auto*: on for distributed (sharded) runs, off for
-single-process sweeps whose historical delays stay bit-identical.  The
-draw is seeded from the cell's own seed, so a rerun of the same cell
-retries on the same schedule — jitter decorrelates cells from each
-other, never a run from its rerun.
+Jitter defaults to *auto*: on for sweeps run by several processes
+(``shards`` or ``workers``), off for single-process sweeps whose
+historical delays stay bit-identical.  The draw is seeded from the
+cell's own seed, so a rerun of the same cell retries on the same
+schedule — jitter decorrelates cells from each other, never a run from
+its rerun.
 """
 
 from __future__ import annotations

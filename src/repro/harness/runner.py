@@ -36,7 +36,8 @@ from repro.harness.journal import (
 )
 from repro.harness.results import ResultTable, RunRecord
 from repro.harness.retry import run_with_retry
-from repro.harness.scheduler import run_sharded_experiment, scratch_directory
+from repro.harness.scheduler import (_process_count, run_sharded_experiment,
+                                     scratch_directory)
 from repro.measures import evaluate_all
 from repro.noise import GraphPair, make_pair
 
@@ -415,9 +416,10 @@ def _execute_cell(config: ExperimentConfig, name: str, pair: GraphPair,
 
     if config.retry_policy is not None:
         # The cell seed doubles as the jitter seed so a rerun of the same
-        # cell backs off on the same schedule; sharded runs count as
-        # distributed, which switches the retry tri-state default on.
+        # cell backs off on the same schedule; a sweep run by more than
+        # one process (``shards`` or ``workers``) counts as distributed,
+        # which switches the retry tri-state default on.
         return run_with_retry(
             attempt, config.retry_policy, jitter_seed=seed,
-            distributed=int(getattr(config, "shards", 1)) > 1)
+            distributed=_process_count(config) > 1)
     return attempt(1)

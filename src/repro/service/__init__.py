@@ -25,7 +25,6 @@ from repro.service.tickets import (
     TICKET_STATES,
     Ticket,
     TicketError,
-    TicketStore,
     ticket_key,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "TICKET_STATES",
     "Ticket",
     "TicketError",
-    "TicketStore",
     "load_service_events",
     "read_health",
     "ticket_key",

@@ -1,43 +1,54 @@
-"""Durable on-disk request queue for the alignment service.
+"""Durable on-disk request queue: the one store of the service's tickets.
 
 The queue persists every accepted request and coordinates its execution
 with exactly the primitives the distributed scheduler already proved
 under chaos (:mod:`repro.harness.scheduler`): ``O_CREAT | O_EXCL`` lease
 files claim a request atomically, heartbeat-stale or dead-pid leases are
-reclaimed so a SIGKILLed worker's request is **re-leased, not lost**,
+reclaimed so a SIGKILLed worker's request is **re-leased, not lost**, and
 ``.attempts`` tombstones preserve how often a request burned an
-execution, and done markers make completion idempotent across crashes.
+execution.
 
-Layout under the queue root::
+Layout under the queue root (lease files are named by
+:func:`~repro.harness.scheduler.cell_hash` of the key)::
 
-    requests/<key>.req    pickled request payload, atomically published
-    leases/<key>.lease    scheduler lease (pid + host + heartbeat)
-    leases/<key>.attempts orphan-attempt tombstone
-    done/<key>.done       completion marker (content = ticket key)
+    requests/<key>.req     pickled request payload, atomically published
+    leases/<hash>.lease    scheduler lease (pid + host + attempt + heartbeat)
+    leases/<hash>.attempts orphan-attempt tombstone
+    done/<key>.done        terminal outcome: state, attempts, error (JSON)
+
+**A ticket is its files.**  It is ``pending`` while only its request
+exists, ``leased`` while a lease file exists (``attempts`` is the
+lease's), and terminal once its outcome exists.  An outcome is fsynced
+and linked into place whole, before the lease it ends is released, and
+never replaced: the first terminal outcome wins.  Request metadata and
+outcomes never change once written, so each process reads them once.
 
 **Admission control** is a hard bound on backlog: :meth:`enqueue`
-raises :class:`QueueFull` once ``depth()`` (accepted requests without a
-done marker) reaches ``max_depth`` — *except* for keys already enqueued,
+raises :class:`QueueFull` once ``depth()`` (accepted requests without an
+outcome) reaches ``max_depth`` — *except* for keys already enqueued,
 because a duplicate of an accepted request is the same request and must
 never be bounced.  An accepted request file is never deleted by the
-queue; completion is recorded by the done marker, so restarts recover
-the full backlog from the directory alone.
+queue, so restarts recover the full backlog from the directory alone.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
-import time
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.cache_disk import atomic_write_bytes
+from repro.cache import canonicalize_params
+from repro.cache_disk import _fsync_dir, atomic_write_bytes
 from repro.exceptions import ExperimentError
 from repro.harness.scheduler import (
     bump_attempts,
+    cell_hash,
     lease_path,
     read_attempts,
     read_lease,
@@ -45,7 +56,12 @@ from repro.harness.scheduler import (
     scan_stale_leases,
     try_acquire_lease,
 )
-from repro.service.tickets import ticket_key
+from repro.service.tickets import (
+    TERMINAL_STATES,
+    TICKET_STATES,
+    Ticket,
+    ticket_key,
+)
 
 __all__ = ["QueueFull", "AlignmentRequest", "DurableRequestQueue"]
 
@@ -129,12 +145,13 @@ class AlignmentRequest:
 
 
 class DurableRequestQueue:
-    """Crash-safe queue of accepted alignment requests.
+    """Crash-safe queue of accepted alignment requests and their tickets.
 
     Multi-process safe by construction: payloads publish via temp-file +
-    atomic rename, claims are ``O_EXCL`` lease creates, and every reader
-    tolerates files vanishing between list and read.  One queue
-    directory may be shared by any number of submitters and servers.
+    atomic rename, claims are ``O_EXCL`` lease creates, outcomes are
+    ``os.link`` publishes that never replace, and every reader tolerates
+    files vanishing between list and read.  One queue directory may be
+    shared by any number of submitters and servers.
     """
 
     def __init__(self, root: Union[str, Path], max_depth: int = 256,
@@ -151,6 +168,10 @@ class DurableRequestQueue:
         self.done_dir = self.root / "done"
         for directory in (self.requests_dir, self.lease_dir, self.done_dir):
             directory.mkdir(parents=True, exist_ok=True)
+        # Written once and never changed, so read once.  Two threads
+        # racing on a miss read the same file and store equal values.
+        self._requests: Dict[str, Ticket] = {}
+        self._outcomes: Dict[str, Dict[str, object]] = {}
 
     # -- paths -------------------------------------------------------------
 
@@ -163,12 +184,9 @@ class DurableRequestQueue:
     # -- admission ---------------------------------------------------------
 
     def depth(self) -> int:
-        """Accepted requests not yet finished (the backlog)."""
-        pending = 0
-        for path in self.requests_dir.glob("*.req"):
-            if not self.done_path(path.stem).exists():
-                pending += 1
-        return pending
+        """Accepted requests without an outcome (the backlog)."""
+        return len(self._names(self.requests_dir, ".req")
+                   - self._names(self.done_dir, ".done"))
 
     def enqueue(self, request: AlignmentRequest,
                 key: Optional[str] = None) -> Tuple[str, bool]:
@@ -188,6 +206,7 @@ class DurableRequestQueue:
         if backlog >= self.max_depth:
             raise QueueFull(backlog, self.max_depth)
         atomic_write_bytes(path, request.to_payload())
+        self._request_ticket(key, request)  # spares re-reading the payload
         return key, True
 
     def load_request(self, key: str) -> AlignmentRequest:
@@ -213,24 +232,105 @@ class DurableRequestQueue:
                 f"({type(exc).__name__}: {exc})"
             )
 
-    # -- enumeration -------------------------------------------------------
+    # -- tickets -----------------------------------------------------------
+
+    def _request_ticket(self, key: str,
+                        request: Optional[AlignmentRequest] = None
+                        ) -> Optional[Ticket]:
+        """A ``pending`` ticket carrying the request's metadata, accepted
+        at the request file's mtime; ``None`` for an unknown key."""
+        ticket = self._requests.get(key)
+        if ticket is not None:
+            return ticket
+        try:
+            accepted_at = self.request_path(key).stat().st_mtime
+        except OSError:
+            return None
+        try:
+            request = request or self.load_request(key)
+        except ExperimentError:
+            # Still an accepted ticket: running it fails it with the
+            # load error.
+            ticket = Ticket(key=key, state="pending", algorithm="",
+                            submitted_at=accepted_at)
+        else:
+            deadline = request.deadline_seconds
+            ticket = Ticket(
+                key=key, state="pending", algorithm=request.algorithm,
+                assignment=request.assignment, seed=int(request.seed),
+                params=repr(canonicalize_params(dict(request.params))),
+                submitted_at=accepted_at,
+                deadline_seconds=None if deadline is None else float(deadline),
+            )
+        self._requests[key] = ticket
+        return ticket
+
+    def ticket(self, key: str) -> Optional[Ticket]:
+        """One ticket as its files show it now; ``None`` for an unknown key.
+
+        The lease is read before the outcome, which is published before
+        its lease is released: a running ticket never reads as pending.
+        """
+        request = self._request_ticket(key)
+        if request is None:
+            return None
+        lease = self.holder(key)
+        outcome = self.outcome(key)
+        if outcome is not None:
+            return replace(request, **outcome)
+        if lease is not None:
+            return replace(request, state="leased", attempts=lease.attempt)
+        return replace(request, attempts=self.attempts(key))
+
+    @staticmethod
+    def _names(directory: Path, suffix: str) -> Set[str]:
+        return {name[:-len(suffix)] for name in os.listdir(directory)
+                if name.endswith(suffix)}
+
+    def _states(self) -> List[Tuple[str, str]]:
+        """``(key, state)`` of every accepted request in key order, from
+        one listing of each directory — leases before outcomes, for the
+        reason :meth:`ticket` gives."""
+        leased = self._names(self.lease_dir, ".lease")
+        finished = self._names(self.done_dir, ".done")
+        states = []
+        for key in sorted(self._names(self.requests_dir, ".req")):
+            outcome = self.outcome(key) if key in finished else None
+            if outcome is not None:
+                states.append((key, outcome["state"]))
+            elif cell_hash(key) in leased:
+                states.append((key, "leased"))
+            else:
+                states.append((key, "pending"))
+        return states
+
+    def tickets(self, state: Optional[str] = None) -> List[Ticket]:
+        """Every accepted request's ticket, or only those in ``state``."""
+        found = []
+        for key, listed in self._states():
+            if state is not None and listed != state:
+                continue
+            ticket = self.ticket(key)  # re-read: it may have moved on
+            if ticket is not None and state in (None, ticket.state):
+                found.append(ticket)
+        return found
+
+    def counts(self) -> Dict[str, int]:
+        """Ticket count per state (zero-filled for all known states)."""
+        totals = dict.fromkeys(TICKET_STATES, 0)
+        for _, state in self._states():
+            totals[state] += 1
+        return totals
 
     def accepted_keys(self) -> List[str]:
         """Every key with a durable request payload, finished or not."""
-        return sorted(path.stem for path in self.requests_dir.glob("*.req"))
+        return sorted(self._names(self.requests_dir, ".req"))
 
     def pending_keys(self) -> List[str]:
-        """Accepted keys without a done marker, oldest payload first."""
-        entries = []
-        for path in self.requests_dir.glob("*.req"):
-            if self.done_path(path.stem).exists():
-                continue
-            try:
-                mtime = path.stat().st_mtime
-            except OSError:
-                continue  # vanished between list and stat
-            entries.append((mtime, path.stem))
-        return [key for _, key in sorted(entries)]
+        """Keys of the pending tickets, oldest request first."""
+        pending = sorted(self.tickets("pending"),
+                         key=lambda ticket: ticket.submitted_at)
+        return [ticket.key for ticket in pending]
 
     # -- claims ------------------------------------------------------------
 
@@ -243,7 +343,7 @@ class DurableRequestQueue:
         release_lease(claim)
 
     def holder(self, key: str):
-        """The current lease on a key (or ``None``) — observability."""
+        """The current lease on a key, or ``None``."""
         return read_lease(lease_path(self.lease_dir, key))
 
     def attempts(self, key: str) -> int:
@@ -258,11 +358,11 @@ class DurableRequestQueue:
         """Release leases whose owner is dead or silent past the timeout.
 
         Returns ``(key, attempts, reason)`` per reclaimed lease, with the
-        burned attempt already tombstoned — the service re-queues the
-        ticket and, past its retry bound, fails it instead of
+        burned attempt already tombstoned — the ticket reads as pending
+        again and, past the service's retry bound, is failed instead of
         crash-looping.  A lease caught mid-write carries no key (the
         file name is a hash); it is still removed, and the key comes
-        back empty — ticket reconciliation covers that window.
+        back empty.
         """
         reclaimed = []
         for path, lease, reason in scan_stale_leases(
@@ -272,25 +372,71 @@ class DurableRequestQueue:
             reclaimed.append((lease.key, attempts, reason))
         return reclaimed
 
-    # -- completion --------------------------------------------------------
+    # -- outcomes ----------------------------------------------------------
 
-    def mark_done(self, key: str) -> None:
-        """Publish the idempotent completion marker for one key."""
-        atomic_write_bytes(self.done_path(key), (key + "\n").encode("utf-8"),
-                           fsync=False)
+    def mark_done(self, key: str, state: str = "done", attempts: int = 0,
+                  error: str = "") -> bool:
+        """Publish the ticket's terminal outcome unless it has one;
+        returns whether this call published it.
 
-    def is_done(self, key: str) -> bool:
-        return self.done_path(key).exists()
+        The outcome is fsynced before it is linked into place, so a
+        reader never sees part of one, and the link fails on an existing
+        outcome: the first terminal outcome wins.  Callers publish it
+        before they release the ticket's lease.
+        """
+        outcome = {"state": state, "attempts": int(attempts),
+                   "error": str(error)}
+        path = self.done_path(key)
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        with open(tmp, "wb") as handle:
+            handle.write(json.dumps(outcome, sort_keys=True).encode("utf-8"))
+            handle.flush()
+            os.fsync(handle.fileno())
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            return False
+        finally:
+            os.unlink(tmp)
+        _fsync_dir(self.done_dir)
+        self._outcomes[key] = outcome
+        return True
+
+    def outcome(self, key: str) -> Optional[Dict[str, object]]:
+        """The ticket's terminal ``state``, ``attempts`` and ``error``;
+        ``None`` while it has none."""
+        outcome = self._outcomes.get(key)
+        if outcome is not None:
+            return outcome
+        try:
+            raw = self.done_path(key).read_bytes()
+        except FileNotFoundError:
+            return None
+        try:
+            data = json.loads(raw)
+            outcome = {"state": data["state"],
+                       "attempts": int(data["attempts"]),
+                       "error": str(data["error"])}
+        except (ValueError, KeyError, TypeError):
+            outcome = {"state": None}
+        if outcome["state"] not in TERMINAL_STATES:
+            outcome = {"state": "failed", "attempts": 0,
+                       "error": f"ExperimentError: the outcome of ticket "
+                                f"{key} is unreadable"}
+        self._outcomes[key] = outcome
+        return outcome
 
     def stats(self) -> Dict[str, int]:
-        accepted = len(self.accepted_keys())
-        backlog = self.depth()
+        counts = self.counts()
+        accepted = sum(counts.values())
+        backlog = counts["pending"] + counts["leased"]
         return {
             "accepted": accepted,
             "backlog": backlog,
             "finished": accepted - backlog,
             "max_depth": self.max_depth,
-            "leased": sum(1 for _ in self.lease_dir.glob("*.lease")),
+            "leased": counts["leased"],
         }
 
     def __repr__(self) -> str:

@@ -6,13 +6,15 @@ its status; fetch the measured :class:`~repro.harness.results.RunRecord`
 once it is done.  Under the hood the service composes machinery this
 repository has already hardened one PR at a time:
 
-* tickets are content-addressed and journaled
-  (:mod:`repro.service.tickets`) — duplicate submissions return the
-  existing ticket, crashes replay;
+* tickets are content-addressed (:mod:`repro.service.tickets`) —
+  duplicate submissions return the existing ticket;
 * accepted requests persist in a :class:`~repro.service.queue.DurableRequestQueue`
   and are claimed with the scheduler's ``O_EXCL`` leases, heartbeats,
   and stale-lease reclaim — a SIGKILLed worker's request is re-leased,
   never lost;
+* a ticket's state is its queue files (request, lease, outcome) and is
+  stored nowhere else, so there is no second record to reconcile after
+  a crash, and every process reads the same answer;
 * per-request deadlines map onto :class:`~repro.harness.budget.CellBudget`
   (the remaining wall time becomes the cell's time budget; a deadline
   that elapses while queued expires the ticket without running it);
@@ -32,12 +34,11 @@ repository has already hardened one PR at a time:
   ``retry_after_seconds`` hint — but an already-accepted ticket is
   never bounced and never dropped.
 * *Crash-safety*: SIGKILL the server at any instant; a restarted server
-  recovers every ticket from the journal + filesystem truth and drives
-  each one to a terminal state, with results bit-identical to a serial
-  run of the same cell.
-* *Graceful drain*: SIGTERM stops admission, lets leased work finish,
-  persists ticket state (it already is — every transition was fsynced),
-  and exits; queued-but-unclaimed tickets survive for the next server.
+  reclaims the dead worker's lease and drives every ticket to a terminal
+  state, with results bit-identical to a serial run of the same cell.
+* *Graceful drain*: SIGTERM stops admission, lets leased work finish
+  (each outcome is fsynced before its lease is released), and exits;
+  queued-but-unclaimed tickets survive for the next server.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from repro.harness.scheduler import (
 )
 from repro.noise import GraphPair
 from repro.service.queue import AlignmentRequest, DurableRequestQueue, QueueFull
-from repro.service.tickets import Ticket, TicketError, TicketStore
+from repro.service.tickets import Ticket, TicketError
 
 __all__ = [
     "ServiceUnavailable",
@@ -135,12 +136,11 @@ def _default_runner(request: AlignmentRequest,
 class AlignmentService:
     """Crash-safe ticketed front-end over one service directory.
 
-    One service directory holds everything — ticket journal segments,
-    the durable request queue, the result cache, the recovery event log,
-    and the health heartbeat::
+    One service directory holds everything — the durable request queue
+    (which is also the only record of ticket state), the result cache,
+    the recovery event log, and the health heartbeat::
 
-        <service_dir>/tickets/            ticket journal (per-pid segments)
-        <service_dir>/queue/              requests / leases / done markers
+        <service_dir>/queue/              requests / leases / outcomes
         <service_dir>/cache/              DiskArtifactCache of results
         <service_dir>/events.jsonl        rotated recovery-event log
         <service_dir>/health.json         heartbeat for external monitors
@@ -179,6 +179,12 @@ class AlignmentService:
                 f"max_attempts must be >= 1, got {max_attempts}"
             )
         self.root = Path(service_dir)
+        if (self.root / "tickets").is_dir():
+            raise ExperimentError(
+                f"{self.root} holds a ticket journal (tickets/) from an "
+                "earlier version of repro.service; drain it with that "
+                "version, or use a fresh service directory"
+            )
         self.root.mkdir(parents=True, exist_ok=True)
         self.workers = int(workers)
         self.max_attempts = int(max_attempts)
@@ -188,7 +194,6 @@ class AlignmentService:
         self.poll_interval_seconds = float(poll_interval_seconds)
         self.retry_after_seconds = float(retry_after_seconds)
         self.lease_timeout_seconds = float(lease_timeout_seconds)
-        self.store = TicketStore(self.root / "tickets")
         self.queue = DurableRequestQueue(
             self.root / "queue", max_depth=max_depth,
             lease_timeout_seconds=lease_timeout_seconds)
@@ -201,7 +206,7 @@ class AlignmentService:
         self._in_flight_lock = threading.Lock()
         self._heartbeat: Optional[_HeartbeatThread] = None
         self._started_at = time.time()
-        self.recover()
+        self._expire_overdue()
 
     # -- events ------------------------------------------------------------
 
@@ -209,87 +214,20 @@ class AlignmentService:
         with self._events_lock:
             self.events.record(kind, **details)
 
-    # -- recovery ----------------------------------------------------------
-
-    def recover(self) -> int:
-        """Reconcile journal state with filesystem truth; heal crash windows.
-
-        Called on construction (every restart).  Returns the number of
-        tickets whose state was repaired.  The windows, in submission
-        order:
-
-        * request payload durable, ticket create entry lost → the ticket
-          is re-created from the payload;
-        * work finished (done marker) but the terminal transition lost →
-          the ticket is driven to ``done``;
-        * ticket ``leased`` but its lease file is gone (the reclaim or
-          release raced a crash) → back to ``pending``;
-        * deadline elapsed while nobody was serving → ``expired``.
-
-        Stale leases from a SIGKILLed previous server are *not* touched
-        here — the ordinary reclaim pass handles them with full attempt
-        accounting (see :meth:`janitor_pass`).
-        """
-        self.store.refresh()
-        healed = 0
-        for key in self.queue.accepted_keys():
-            ticket = self.store.get(key)
-            if ticket is None:
-                ticket = self._adopt_orphan_request(key)
-                if ticket is None:
-                    continue
-                healed += 1
-            if ticket.terminal:
-                continue
-            if self.queue.is_done(key):
-                if ticket.state == "pending":
-                    self.store.transition(key, "leased")
-                self.store.transition(key, "done")
-                self._record_event("ticket_recovered", key=key,
-                                   outcome="done")
-                healed += 1
-                continue
-            if (ticket.state == "leased"
-                    and self.queue.holder(key) is None):
-                self.store.transition(key, "pending",
-                                      attempts=self.queue.attempts(key))
-                self._record_event("ticket_recovered", key=key,
-                                   outcome="requeued")
-                healed += 1
-        self._expire_overdue()
-        return healed
-
-    def _adopt_orphan_request(self, key: str) -> Optional[Ticket]:
-        """Rebuild the ticket for a request whose create entry was lost."""
-        try:
-            request = self.queue.load_request(key)
-        except ExperimentError:
-            # Payload unreadable and no ticket to fail: quarantine-level
-            # breakage with nobody waiting on it; leave the file for
-            # post-mortem.
-            return None
-        ticket, created = self.store.submit(
-            key, request.algorithm, assignment=request.assignment,
-            seed=request.seed, params=dict(request.params),
-            deadline_seconds=request.deadline_seconds,
-        )
-        if created:
-            self._record_event("ticket_recovered", key=key,
-                               outcome="recreated")
-        return ticket
+    # -- expiry ------------------------------------------------------------
 
     def _expire_overdue(self) -> int:
         """Expire queued tickets whose deadline passed; returns the count."""
         expired = 0
         now = time.time()
-        for ticket in self.store.tickets("pending"):
+        for ticket in self.queue.tickets("pending"):
             remaining = ticket.remaining_seconds(now)
-            if remaining is not None and remaining <= 0:
-                self.store.transition(
-                    ticket.key, "expired",
+            if remaining is None or remaining > 0:
+                continue
+            if self.queue.mark_done(
+                    ticket.key, "expired", attempts=ticket.attempts,
                     error=(f"deadline of {ticket.deadline_seconds}s elapsed "
-                           "before the request ran"))
-                self.queue.mark_done(ticket.key)
+                           "before the request ran")):
                 self._record_event("ticket_expired", key=ticket.key)
                 expired += 1
         return expired
@@ -311,11 +249,7 @@ class AlignmentService:
             request = replace(request,
                               deadline_seconds=self.default_deadline_seconds)
         key = request.key()
-        existing = self.store.get(key)
-        if existing is not None:
-            return existing
-        self.store.refresh()  # another process may have created it
-        existing = self.store.get(key)
+        existing = self.queue.ticket(key)
         if existing is not None:
             return existing
         if self._draining:
@@ -331,18 +265,16 @@ class AlignmentService:
                 "queue_full",
                 self.retry_after_seconds * (1.0 + exc.depth / exc.max_depth),
                 detail=str(exc))
-        ticket, _ = self.store.submit(
-            key, request.algorithm, assignment=request.assignment,
-            seed=request.seed, params=dict(request.params),
-            deadline_seconds=request.deadline_seconds,
-        )
-        return ticket
+        return self.queue.ticket(key)
 
     def status_sync(self, key: str, refresh: bool = True) -> Ticket:
-        """The ticket's current folded state (refreshes cross-process)."""
-        if refresh:
-            self.store.refresh()
-        ticket = self.store.get(key)
+        """The ticket's current state, read from its queue files.
+
+        Every call reads the files, whichever process changed them, so
+        ``refresh`` no longer changes the answer; it is kept for callers
+        that pass it.
+        """
+        ticket = self.queue.ticket(key)
         if ticket is None:
             raise TicketError(f"unknown ticket {key!r}")
         return ticket
@@ -358,11 +290,10 @@ class AlignmentService:
         ticket = self.status_sync(key)
         if ticket.state != "pending":
             return ticket
-        ticket = self.store.transition(key, "cancelled",
-                                       error="cancelled by client")
-        self.queue.mark_done(key)
-        self._record_event("ticket_cancelled", key=key)
-        return ticket
+        if self.queue.mark_done(key, "cancelled", attempts=ticket.attempts,
+                                error="cancelled by client"):
+            self._record_event("ticket_cancelled", key=key)
+        return self.status_sync(key)
 
     def result_sync(self, key: str) -> RunRecord:
         """The measured record of a finished ticket.
@@ -371,9 +302,12 @@ class AlignmentService:
         result — the same contract as a sweep's ✗ cells).  Raises
         :class:`TicketError` for tickets that are still queued or
         running, and for ``expired``/``cancelled`` ones, which never
-        produced a record.  A result evicted or quarantined from the
-        cache is recomputed transparently and re-stored — requests are
-        deterministic, so the recompute is the result.
+        produced a record.  A ``done`` result evicted or quarantined
+        from the cache is recomputed transparently and re-stored —
+        requests are deterministic, so the recompute is the result.  A
+        ``failed`` ticket's request is never run here (it may be the
+        one that killed its workers): without a cached record it gets
+        a failed record carrying the ticket's error and attempts.
         """
         ticket = self.status_sync(key)
         if ticket.state not in ("done", "failed"):
@@ -385,6 +319,13 @@ class AlignmentService:
                                            params={"ticket": key})
         if found:
             return RunRecord.from_dict(dict(payload))
+        if ticket.state == "failed":
+            return RunRecord(
+                algorithm=ticket.algorithm, dataset="service",
+                noise_type="service", noise_level=0.0, repetition=0,
+                assignment=ticket.assignment, measures={},
+                similarity_time=0.0, assignment_time=0.0, failed=True,
+                error=ticket.error, attempts=ticket.attempts)
         record = self._runner(request, self._budget_for(ticket))
         self.results.store(request.source, RESULT_ARTIFACT, record.to_dict(),
                            params={"ticket": key})
@@ -412,118 +353,94 @@ class AlignmentService:
         return self._heartbeat
 
     def claim_next(self) -> Optional[str]:
-        """Lease the oldest runnable request; ``None`` when nothing is.
+        """Lease the oldest pending request; ``None`` when nothing is.
 
-        Skips tickets that are terminal, already leased (here or
-        elsewhere), or expired — expiry is applied on the way.  The
-        returned key's lease is held by this process; pass it to
-        :meth:`execute_claimed`.
+        Expires overdue tickets on the way.  The returned key's lease is
+        held by this process; pass it to :meth:`execute_claimed`.
         """
-        self.store.refresh()
         self._expire_overdue()
         for key in self.queue.pending_keys():
-            ticket = self.store.get(key)
-            if ticket is None:
-                ticket = self._adopt_orphan_request(key)
-                if ticket is None:
-                    continue
-            if ticket.state != "pending":
-                continue
             claim = self.queue.claim(key)
             if claim is None:
                 continue
-            prior = self.queue.attempts(key)
-            try:
-                self.store.transition(key, "leased", attempts=prior + 1)
-            except TicketError:
-                # Lost a race with a concurrent transition (e.g. a late
-                # cancel); hand the lease back.
+            if self.queue.outcome(key) is not None:
+                # Finished since the listing (a cancel, say).
                 self.queue.release(claim)
                 continue
             with self._in_flight_lock:
                 self._in_flight[key] = time.time()
             heartbeat = self._ensure_heartbeat()
-            heartbeat.track(claim, key, prior + 1, time.time())
+            heartbeat.track(claim, key, self.queue.attempts(key) + 1,
+                            time.time())
             return key
         return None
 
     def execute_claimed(self, key: str) -> Ticket:
         """Run one leased ticket to a terminal state; always releases.
 
-        The terminal state is journaled and the done marker published
-        *before* the lease is released, so no observer can see the
-        request as claimable and finished at once.
+        The outcome is published *before* the lease is released, so no
+        observer can see the request as claimable after it ran.  An
+        outcome published first (a cancel or an expiry that raced the
+        run) stands, and the returned ticket carries it.
         """
         claim = lease_path(self.queue.lease_dir, key)
         try:
-            ticket = self.store.get(key)
-            prior = self.queue.attempts(key)
-            if prior >= self.max_attempts:
-                final = self.store.transition(
-                    key, "failed", attempts=prior,
-                    error=(f"ExperimentError: request orphaned {prior} times "
-                           "(its worker died or hung on every attempt); "
-                           "giving up"))
-                self._record_event("ticket_abandoned", key=key,
-                                   attempts=prior)
-                self.queue.mark_done(key)
-                return final
-            try:
-                request = self.queue.load_request(key)
-            except ExperimentError as exc:
-                final = self.store.transition(key, "failed", error=str(exc))
-                self.queue.mark_done(key)
-                return final
-            remaining = ticket.remaining_seconds()
-            if remaining is not None and remaining <= 0:
-                final = self.store.transition(
-                    key, "expired",
-                    error=(f"deadline of {ticket.deadline_seconds}s elapsed "
-                           "before the request ran"))
-                self.queue.mark_done(key)
-                self._record_event("ticket_expired", key=key)
-                return final
-            budget = self._budget_for(ticket)
-
-            def attempt(_n: int) -> RunRecord:
-                return self._runner(request, budget)
-
-            if self.retry_policy is not None:
-                record = run_with_retry(
-                    attempt, self.retry_policy,
-                    jitter_seed=int(key[:16], 16), distributed=True)
-            else:
-                record = attempt(1)
-            if prior:
-                record = replace(record, attempts=record.attempts + prior)
-            self.results.store(request.source, RESULT_ARTIFACT,
-                               record.to_dict(), params={"ticket": key})
-            if record.failed:
-                deadline_bound = (budget is not None
-                                  and budget.time_seconds is not None
-                                  and remaining is not None)
-                if deadline_bound and record.error.startswith("timeout"):
-                    final = self.store.transition(
-                        key, "expired", attempts=record.attempts,
-                        error=(f"deadline of {ticket.deadline_seconds}s "
-                               "elapsed while the request ran"))
-                    self._record_event("ticket_expired", key=key,
-                                       mid_run=True)
-                else:
-                    final = self.store.transition(
-                        key, "failed", attempts=record.attempts,
-                        error=(record.error.splitlines() or ["failed"])[0])
-            else:
-                final = self.store.transition(key, "done",
-                                              attempts=record.attempts)
-            self.queue.mark_done(key)
-            return final
+            self.queue.mark_done(key, **self._run_claimed(key))
+            return self.status_sync(key)
         finally:
             if self._heartbeat is not None:
                 self._heartbeat.untrack(claim)
             self.queue.release(claim)
             with self._in_flight_lock:
                 self._in_flight.pop(key, None)
+
+    def _run_claimed(self, key: str) -> Dict[str, object]:
+        """Execute one leased ticket; returns its terminal outcome."""
+        ticket = self.status_sync(key)
+        prior = self.queue.attempts(key)
+        if prior >= self.max_attempts:
+            self._record_event("ticket_abandoned", key=key, attempts=prior)
+            return dict(state="failed", attempts=prior,
+                        error=(f"ExperimentError: request orphaned {prior} "
+                               "times (its worker died or hung on every "
+                               "attempt); giving up"))
+        try:
+            request = self.queue.load_request(key)
+        except ExperimentError as exc:
+            return dict(state="failed", attempts=ticket.attempts,
+                        error=str(exc))
+        remaining = ticket.remaining_seconds()
+        if remaining is not None and remaining <= 0:
+            self._record_event("ticket_expired", key=key)
+            return dict(state="expired", attempts=ticket.attempts,
+                        error=(f"deadline of {ticket.deadline_seconds}s "
+                               "elapsed before the request ran"))
+        budget = self._budget_for(ticket)
+
+        def attempt(_n: int) -> RunRecord:
+            return self._runner(request, budget)
+
+        if self.retry_policy is not None:
+            record = run_with_retry(
+                attempt, self.retry_policy,
+                jitter_seed=int(key[:16], 16), distributed=True)
+        else:
+            record = attempt(1)
+        if prior:
+            record = replace(record, attempts=record.attempts + prior)
+        self.results.store(request.source, RESULT_ARTIFACT,
+                           record.to_dict(), params={"ticket": key})
+        if not record.failed:
+            return dict(state="done", attempts=record.attempts)
+        # A deadline becomes the budget's time limit, so its timeout is
+        # the deadline elapsing mid-run.
+        if remaining is not None and record.error.startswith("timeout"):
+            self._record_event("ticket_expired", key=key, mid_run=True)
+            return dict(state="expired", attempts=record.attempts,
+                        error=(f"deadline of {ticket.deadline_seconds}s "
+                               "elapsed while the request ran"))
+        return dict(state="failed", attempts=record.attempts,
+                    error=(record.error.splitlines() or ["failed"])[0])
 
     def process_once(self) -> Optional[Ticket]:
         """One synchronous claim+execute step; ``None`` when idle."""
@@ -562,32 +479,9 @@ class AlignmentService:
     def janitor_pass(self) -> None:
         """Reclaim stale leases, expire overdue tickets, beat the heart."""
         for key, attempts, reason in self.queue.reclaim_stale():
-            if not key:
-                continue  # torn lease file; reconciliation covers it
-            self._record_event("lease_reclaimed", key=key, reason=reason,
-                               attempts=attempts)
-            ticket = self.store.get(key)
-            if ticket is not None and ticket.state == "leased":
-                self.store.transition(key, "pending", attempts=attempts)
-        # A leased ticket nobody is running and nobody holds a lease on
-        # (its execution died between lease release and the terminal
-        # transition) goes back in line — or to done if the marker made
-        # it out first.
-        for ticket in self.store.tickets("leased"):
-            with self._in_flight_lock:
-                if ticket.key in self._in_flight:
-                    continue
-            if self.queue.holder(ticket.key) is not None:
-                continue
-            if self.queue.is_done(ticket.key):
-                self.store.transition(ticket.key, "done")
-            else:
-                self.store.transition(
-                    ticket.key, "pending",
-                    attempts=self.queue.attempts(ticket.key))
-                self._record_event("ticket_recovered", key=ticket.key,
-                                   outcome="requeued")
-        self.store.refresh()
+            if key:  # a lease torn mid-write names no key
+                self._record_event("lease_reclaimed", key=key,
+                                   reason=reason, attempts=attempts)
         self._expire_overdue()
         self.write_heartbeat()
 
@@ -615,7 +509,7 @@ class AlignmentService:
             "max_depth": self.queue.max_depth,
             "in_flight": in_flight,
             "workers": self.workers,
-            "tickets": self.store.counts(),
+            "tickets": self.queue.counts(),
         }
 
     # -- drain / shutdown --------------------------------------------------
@@ -631,7 +525,7 @@ class AlignmentService:
             self._record_event("drain_requested")
 
     def close(self) -> None:
-        """Release process-local resources (journal handles, threads).
+        """Release process-local resources (event log handle, threads).
 
         All durable state is already on disk; ``close`` never discards
         work.
@@ -640,7 +534,6 @@ class AlignmentService:
             self._heartbeat.stop()
             self._heartbeat = None
         self.write_heartbeat()
-        self.store.close()
         self.events.close()
 
     def __enter__(self) -> "AlignmentService":
@@ -674,8 +567,8 @@ class AlignmentService:
             try:
                 await asyncio.to_thread(self.execute_claimed, key)
             except Exception as exc:  # noqa: BLE001 — worker must survive
-                # The lease was released by execute_claimed's finally;
-                # the janitor re-queues the stranded leased ticket.
+                # execute_claimed's finally released the lease, so the
+                # ticket, which has no outcome, reads as pending again.
                 self._record_event(
                     "worker_error", key=key,
                     error=f"{type(exc).__name__}: {exc}")
@@ -696,8 +589,8 @@ class AlignmentService:
         which the installed ``SIGTERM``/``SIGINT`` handlers call.
         Returns the final :meth:`health` snapshot.  Graceful drain:
         admission stops immediately, every in-flight execution finishes
-        and journals its terminal state, queued tickets stay durable for
-        the next server.
+        and publishes its outcome, queued tickets stay durable for the
+        next server.
         """
         loop = asyncio.get_running_loop()
         removed_handlers = []

@@ -127,6 +127,31 @@ class TestDecorrelatedJitter:
                          policy.delay(2, jitter_seed=11, distributed=True)]
 
 
+    @pytest.mark.parametrize("fan_out,distributed", [
+        ({}, False), ({"workers": 2}, True), ({"shards": 2}, True),
+    ], ids=["serial", "workers", "shards"])
+    def test_sweep_cell_is_distributed_under_several_processes(
+            self, monkeypatch, fan_out, distributed):
+        from repro.graphs.generators import erdos_renyi_graph
+        from repro.harness import ExperimentConfig, runner
+        from repro.noise import make_pair
+
+        seen = []
+
+        def recording_retry(run, policy, jitter_seed=None,
+                            distributed=False):
+            seen.append(distributed)
+            return _record()
+
+        monkeypatch.setattr(runner, "run_with_retry", recording_retry)
+        config = ExperimentConfig(name="x", algorithms=["isorank"],
+                                  retry_policy=RetryPolicy(), **fan_out)
+        pair = make_pair(erdos_renyi_graph(10, 0.3, seed=0), "one-way",
+                         0.0, seed=0)
+        runner._execute_cell(config, "isorank", pair, "d", 0, 0)
+        assert seen == [distributed]
+
+
 class TestRunWithRetry:
     def test_success_first_try(self):
         calls = []

@@ -1,17 +1,18 @@
 """Unit and property tests for the alignment service front-end.
 
-Covers the ticket state machine (strict live API, lenient crash
-replay), the durable request queue (admission, claims, stale-lease
-reclaim), and the service itself: idempotent submission under
-concurrent races (hypothesis), backpressure, deadlines, cancellation,
-drain, and restart recovery.  The SIGKILL chaos scenario lives in
-``test_service_chaos.py``.
+Covers the durable request queue (admission, claims, stale-lease
+reclaim, ticket state derived from its files), and the service itself:
+idempotent submission under concurrent races (hypothesis),
+backpressure, deadlines, cancellation, drain, and restart recovery.
+The SIGKILL chaos scenario lives in ``test_service_chaos.py``.
 """
 
 import json
 import os
+import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from repro.service import (
     DurableRequestQueue,
     QueueFull,
     ServiceUnavailable,
+    TICKET_STATES,
     TicketError,
-    TicketStore,
     load_service_events,
     read_health,
     ticket_key,
@@ -100,99 +101,6 @@ class TestTicketKey:
         fast = request_for(0, deadline_seconds=1.0)
         slow = request_for(0, deadline_seconds=None)
         assert fast.key() == slow.key()
-
-
-class TestTicketStore:
-    def test_submit_is_idempotent(self, tmp_path):
-        store = TicketStore(tmp_path)
-        first, created = store.submit("k1", "isorank")
-        again, created_again = store.submit("k1", "isorank")
-        assert created and not created_again
-        assert first == again
-        assert len(store) == 1
-
-    def test_duplicate_submit_returns_current_state_unchanged(self, tmp_path):
-        store = TicketStore(tmp_path)
-        store.submit("k1", "isorank")
-        store.transition("k1", "leased")
-        store.transition("k1", "done")
-        ticket, created = store.submit("k1", "isorank")
-        assert not created and ticket.state == "done"
-
-    def test_illegal_transitions_raise(self, tmp_path):
-        store = TicketStore(tmp_path)
-        store.submit("k1", "isorank")
-        with pytest.raises(TicketError):
-            store.transition("k1", "done")  # pending -> done skips leased
-        store.transition("k1", "leased")
-        store.transition("k1", "done")
-        with pytest.raises(TicketError):
-            store.transition("k1", "pending")  # terminal is forever
-        with pytest.raises(TicketError):
-            store.transition("unknown", "leased")
-        with pytest.raises(TicketError):
-            store.transition("k1", "not-a-state")
-
-    def test_reclaim_edge_requeues(self, tmp_path):
-        store = TicketStore(tmp_path)
-        store.submit("k1", "isorank")
-        store.transition("k1", "leased", attempts=1)
-        ticket = store.transition("k1", "pending", attempts=1)
-        assert ticket.state == "pending" and ticket.attempts == 1
-
-    def test_two_stores_converge_across_refresh(self, tmp_path):
-        a = TicketStore(tmp_path)
-        b = TicketStore(tmp_path)
-        a.submit("k1", "isorank")
-        b.refresh()
-        assert b.get("k1") is not None
-        # b's view can transition only through its own ticket objects;
-        # simulate the server folding a's terminal entry.
-        a.transition("k1", "leased")
-        a.transition("k1", "failed", error="boom")
-        b.refresh()
-        assert b.get("k1").state == "failed"
-        assert b.get("k1").error == "boom"
-        a.close(), b.close()
-
-    def test_torn_tail_keeps_complete_entries(self, tmp_path):
-        store = TicketStore(tmp_path)
-        store.submit("k1", "isorank")
-        store.transition("k1", "leased")
-        store.close()
-        segment = next(tmp_path.glob("*.jsonl"))
-        with open(segment, "ab") as handle:
-            handle.write(b'{"key": "k1", "state": "done"')  # no newline
-        fresh = TicketStore(tmp_path)
-        assert fresh.get("k1").state == "leased"
-
-    def test_replay_materializes_ticket_from_transition_entry(self, tmp_path):
-        # A create entry lost to a torn tail must not drop the later,
-        # acknowledged transition on replay.
-        (tmp_path / "other-1.jsonl").write_text(
-            json.dumps({"key": "kX", "state": "done", "time": 5.0,
-                        "pid": 1, "host": "other", "seq": 1}) + "\n")
-        store = TicketStore(tmp_path)
-        assert store.get("kX").state == "done"
-
-    def test_terminal_sticky_whatever_replays_later(self, tmp_path):
-        entries = [
-            {"key": "k", "state": "pending", "time": 1.0, "seq": 1},
-            {"key": "k", "state": "leased", "time": 2.0, "seq": 2},
-            {"key": "k", "state": "done", "time": 3.0, "seq": 3},
-            {"key": "k", "state": "pending", "time": 4.0, "seq": 4},
-        ]
-        (tmp_path / "other-1.jsonl").write_text(
-            "".join(json.dumps(e) + "\n" for e in entries))
-        store = TicketStore(tmp_path)
-        assert store.get("k").state == "done"
-
-    def test_counts_zero_filled(self, tmp_path):
-        store = TicketStore(tmp_path)
-        counts = store.counts()
-        assert set(counts) == {"pending", "leased", "done", "failed",
-                               "expired", "cancelled"}
-        assert all(v == 0 for v in counts.values())
 
 
 class TestDurableRequestQueue:
@@ -267,6 +175,160 @@ class TestDurableRequestQueue:
         assert queue.pending_keys() == [k0, k1]
         queue.mark_done(k0)
         assert queue.pending_keys() == [k1]
+
+
+class TestTicketState:
+    """A ticket's state is its queue files: every process reads the same
+    answer, and the first terminal outcome wins."""
+
+    def test_counts_zero_filled_on_an_empty_directory(self, tmp_path):
+        counts = DurableRequestQueue(tmp_path).counts()
+        assert counts == dict.fromkeys(TICKET_STATES, 0)
+        assert set(counts) == {"pending", "leased", "done", "failed",
+                               "expired", "cancelled"}
+
+    def test_each_state_is_read_from_the_files(self, tmp_path):
+        queue = DurableRequestQueue(tmp_path)
+        keys = [queue.enqueue(request_for(seed))[0] for seed in range(6)]
+        queue.claim(keys[1])
+        for key, state in zip(keys[2:], TICKET_STATES[2:]):
+            queue.mark_done(key, state, attempts=1, error=state)
+        fresh = DurableRequestQueue(tmp_path)  # reads nothing memoized
+        assert fresh.counts() == dict.fromkeys(TICKET_STATES, 1)
+        assert {t.key: t.state for t in fresh.tickets()} == \
+            dict(zip(keys, TICKET_STATES))
+        assert [t.key for t in fresh.tickets("leased")] == [keys[1]]
+        assert fresh.ticket(keys[1]).attempts == 1
+        assert fresh.ticket(keys[3]).error == "failed"
+        assert fresh.ticket("0" * 32) is None
+        assert fresh.depth() == 2
+
+    def test_unreadable_outcome_reads_as_failed(self, tmp_path):
+        queue = DurableRequestQueue(tmp_path)
+        key, _ = queue.enqueue(request_for(0))
+        queue.done_path(key).write_text("not json")
+        ticket = queue.ticket(key)
+        assert ticket.state == "failed" and "unreadable" in ticket.error
+
+    def test_unreadable_request_still_reads_as_a_ticket_and_fails(
+            self, tmp_path):
+        svc = AlignmentService(tmp_path, workers=1, runner=fast_runner)
+        key = svc.submit_sync(request_for(0)).key
+        svc.queue.request_path(key).write_bytes(b"not a pickle")
+        fresh = AlignmentService(tmp_path, workers=1, runner=fast_runner)
+        assert fresh.status_sync(key).state == "pending"
+        assert fresh.run_until_drained(max_seconds=30) == 1
+        failed = fresh.status_sync(key)
+        assert failed.state == "failed" and "deserialize" in failed.error
+        svc.close(), fresh.close()
+
+    def test_second_instance_reads_the_outcome_without_refresh(
+            self, tmp_path):
+        def boom_runner(request, budget):
+            return replace(fast_record(request), failed=True,
+                           error="ValueError: boom", measures={})
+        first = AlignmentService(tmp_path, workers=1, runner=boom_runner)
+        second = AlignmentService(tmp_path, workers=1, runner=fast_runner)
+        ticket = first.submit_sync(request_for(0))
+        assert second.status_sync(ticket.key).state == "pending"
+        first.run_until_drained(max_seconds=30)
+        seen = second.status_sync(ticket.key, refresh=False)
+        assert seen.state == "failed"
+        assert seen.error == "ValueError: boom"
+        assert second.status_sync(ticket.key) == seen
+        with pytest.raises(TicketError):
+            second.status_sync("0" * 32)
+        first.close(), second.close()
+
+    def test_first_terminal_outcome_wins(self, tmp_path):
+        svc = AlignmentService(tmp_path, workers=1, runner=fast_runner)
+        key = svc.submit_sync(request_for(0)).key
+        assert svc.queue.mark_done(key)
+        assert not svc.queue.mark_done(key, "cancelled", error="too late")
+        assert not svc.queue.mark_done(key, "expired", error="too late")
+        assert svc.status_sync(key).state == "done"
+        assert svc.cancel_sync(key).state == "done"
+        fresh = AlignmentService(tmp_path, workers=1, runner=fast_runner)
+        assert fresh.status_sync(key).state == "done"  # on disk too
+        svc.close(), fresh.close()
+
+    def test_racing_outcomes_publish_exactly_one(self, tmp_path):
+        queue = DurableRequestQueue(tmp_path)
+        key, _ = queue.enqueue(request_for(0))
+        states = ["done", "failed", "expired", "cancelled"] * 3
+        barrier = threading.Barrier(len(states))
+        won = []
+
+        def publish(state):
+            barrier.wait(timeout=10)
+            if queue.mark_done(key, state, error=state):
+                won.append(state)
+
+        threads = [threading.Thread(target=publish, args=(state,))
+                   for state in states]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(won) == 1
+        assert queue.ticket(key).state == won[0]
+        assert DurableRequestQueue(tmp_path).ticket(key).state == won[0]
+        assert not list(queue.done_dir.glob("*.tmp"))
+
+    def test_claim_hands_back_a_ticket_finished_since_the_listing(
+            self, tmp_path, monkeypatch):
+        svc = AlignmentService(tmp_path, workers=1, runner=fast_runner)
+        key = svc.submit_sync(request_for(0)).key
+        claim = svc.queue.claim
+
+        def claim_after_a_cancel(claimed_key):
+            svc.queue.mark_done(claimed_key, "cancelled", error="raced")
+            return claim(claimed_key)
+
+        monkeypatch.setattr(svc.queue, "claim", claim_after_a_cancel)
+        assert svc.claim_next() is None
+        assert svc.queue.holder(key) is None
+        assert svc.status_sync(key).state == "cancelled"
+        svc.close()
+
+    def test_outcome_written_during_the_run_beats_the_runs_own(
+            self, tmp_path):
+        def cancelling_runner(request, budget):
+            svc.queue.mark_done(request.key(), "cancelled",
+                                error="cancelled mid-run")
+            return fast_record(request)
+        svc = AlignmentService(tmp_path, workers=1,
+                               runner=cancelling_runner)
+        key = svc.submit_sync(request_for(0)).key
+        assert svc.claim_next() == key
+        final = svc.execute_claimed(key)
+        assert final.state == "cancelled"
+        assert final.error == "cancelled mid-run"
+        assert svc.queue.holder(key) is None  # the lease was released
+        fresh = AlignmentService(tmp_path, workers=1, runner=fast_runner)
+        assert fresh.status_sync(key).state == "cancelled"
+        svc.close(), fresh.close()
+
+    def test_directory_with_a_ticket_journal_is_refused(self, tmp_path):
+        (tmp_path / "tickets").mkdir()
+        (tmp_path / "tickets" / "host-1.jsonl").write_text(
+            json.dumps({"key": "k", "state": "pending"}) + "\n")
+        with pytest.raises(ExperimentError, match="fresh service directory"):
+            AlignmentService(tmp_path, workers=1, runner=fast_runner)
+
+    def test_full_cycle_writes_no_ticket_journal(self, tmp_path):
+        svc = AlignmentService(tmp_path, workers=1, runner=fast_runner)
+        ticket = svc.submit_sync(request_for(0))
+        svc.run_until_drained(max_seconds=30)
+        assert svc.result_sync(ticket.key).measures == {"s3": 1.0}
+        svc.close()
+        assert not (tmp_path / "tickets").exists()
 
 
 class TestServiceLifecycle:
@@ -399,6 +461,29 @@ class TestServiceLifecycle:
         assert calls["n"] == 2  # ... and re-stored
         svc.close()
 
+    def test_result_of_an_abandoned_ticket_never_runs_its_request(
+            self, tmp_path):
+        calls = {"n": 0}
+
+        def counting_runner(request, budget):
+            calls["n"] += 1
+            return fast_record(request)
+        svc = AlignmentService(tmp_path, workers=1, max_attempts=3,
+                               runner=counting_runner)
+        key = svc.submit_sync(request_for(0)).key
+        for _ in range(3):
+            svc.queue.record_attempt(key)
+        assert svc.claim_next() == key
+        final = svc.execute_claimed(key)
+        assert final.state == "failed"
+        assert "orphaned 3 times" in final.error
+        record = svc.result_sync(key)
+        assert record.failed
+        assert "orphaned 3 times" in record.error
+        assert record.attempts == 3
+        assert calls["n"] == 0  # the request that killed 3 workers
+        svc.close()
+
     def test_health_and_heartbeat_file(self, tmp_path):
         svc = AlignmentService(tmp_path, workers=3, runner=fast_runner)
         svc.submit_sync(request_for(0))
@@ -417,7 +502,7 @@ class TestServiceRecovery:
         keys = [svc.submit_sync(request_for(s)).key for s in range(3)]
         svc.close()  # "crash" before serving anything
         svc2 = AlignmentService(tmp_path, workers=1, runner=fast_runner)
-        assert svc2.store.counts()["pending"] == 3
+        assert svc2.queue.counts()["pending"] == 3
         svc2.run_until_drained(max_seconds=30)
         for key in keys:
             assert svc2.status_sync(key).state == "done"
@@ -446,29 +531,19 @@ class TestServiceRecovery:
         assert svc2.status_sync(ticket.key).state == "done"
         svc2.close()
 
-    def test_leased_without_lease_file_requeues(self, tmp_path):
-        svc = AlignmentService(tmp_path, workers=1, runner=fast_runner)
-        ticket = svc.submit_sync(request_for(0))
-        svc.store.transition(ticket.key, "leased", attempts=1)
-        svc.close()  # crashed between lease release and terminal journal
-        svc2 = AlignmentService(tmp_path, workers=1, runner=fast_runner)
-        assert svc2.status_sync(ticket.key).state == "pending"
-        svc2.run_until_drained(max_seconds=30)
-        assert svc2.status_sync(ticket.key).state == "done"
-        svc2.close()
-
     def test_stale_lease_from_dead_pid_is_reclaimed_live(self, tmp_path):
         svc = AlignmentService(tmp_path, workers=1, runner=fast_runner,
                                lease_timeout_seconds=30.0)
         ticket = svc.submit_sync(request_for(0))
-        svc.store.transition(ticket.key, "leased", attempts=1)
         claim = try_acquire_lease(svc.queue.lease_dir, ticket.key, attempt=1)
         assert claim is not None
         lease = json.loads(claim.read_text())
         lease["pid"] = 2 ** 22 + 999
         claim.write_text(json.dumps(lease))
         svc.janitor_pass()
-        assert svc.status_sync(ticket.key).state == "pending"
+        reclaimed = svc.status_sync(ticket.key)
+        assert reclaimed.state == "pending"
+        assert reclaimed.attempts == 1
         events = load_service_events(tmp_path)
         assert any(e["kind"] == "lease_reclaimed" for e in events)
         svc.close()

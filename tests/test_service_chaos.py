@@ -92,7 +92,7 @@ if kill_after >= 0:
 
     svc._runner = suicidal_runner
 svc.run_until_drained(max_seconds=240)
-states = {t.key: t.state for t in svc.store.tickets()}
+states = {t.key: t.state for t in svc.queue.tickets()}
 svc.close()
 print(json.dumps(states))
 """
@@ -180,8 +180,8 @@ class TestServiceChaos:
         svc = AlignmentService(chaos_service["root"], workers=1)
         try:
             payload = {
-                "tickets": [t.to_dict() for t in svc.store.tickets()],
-                "counts": svc.store.counts(),
+                "tickets": [t.to_dict() for t in svc.queue.tickets()],
+                "counts": svc.queue.counts(),
                 "queue": svc.queue.stats(),
                 "events": load_service_events(chaos_service["root"]),
                 "health": svc.health(),
@@ -226,5 +226,5 @@ class TestOverloadContract:
         for request in rejected:
             svc.submit_sync(request)
         svc.run_until_drained(max_seconds=60)
-        assert svc.store.counts()["done"] == BATCH
+        assert svc.queue.counts()["done"] == BATCH
         svc.close()
