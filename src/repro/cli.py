@@ -224,9 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--measures", nargs="+", default=None,
                        help="restrict to these measures (default: every "
                             "measure in the journal)")
-    stats.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="fan comparison units out to N processes; "
-                            "results are bit-identical to serial")
     stats.add_argument("--stats-journal", default=None, metavar="PATH",
                        help="journal for the statistics themselves "
                             "(default: <journal>.stats); rerun with the "
@@ -501,7 +498,6 @@ def _cmd_stats(args, out) -> int:
         bootstrap_method=args.method,
         seed=args.seed,
         measures=tuple(args.measures) if args.measures else None,
-        workers=args.workers,
     )
     stats_journal = args.stats_journal or (args.journal + ".stats")
     try:

@@ -302,10 +302,10 @@ def _attach_stats(config: ExperimentConfig, table: ResultTable,
     """Compute post-sweep statistics when the config asks for them.
 
     Runs after the sweep (and after the run journal is closed): the
-    statistics are derived from the finished table, journaled into the
-    ``<journal>.stats`` side-car when the sweep was journaled, and fan
-    out across ``config.workers``/``config.shards`` processes — with
-    results bit-identical to a serial computation either way.
+    statistics are derived from the finished table in this process and
+    journaled into the ``<journal>.stats`` side-car when the sweep was
+    journaled, so serial, ``workers`` and ``shards`` sweeps compute them
+    the same way.
     """
     if not bool(getattr(config, "stats", False)):
         return table
@@ -315,8 +315,6 @@ def _attach_stats(config: ExperimentConfig, table: ResultTable,
         resamples=int(getattr(config, "stats_resamples", 2000)),
         seed=int(config.seed),
         measures=tuple(config.measures),
-        workers=max(int(getattr(config, "workers", 1)),
-                    int(getattr(config, "shards", 1))),
     )
     stats_journal = (stats_journal_path(journal_path)
                      if journal_path is not None else None)

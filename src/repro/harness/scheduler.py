@@ -579,14 +579,17 @@ def _publish_done(paths: ShardPaths, key: str) -> None:
         pass  # worst case the cell is re-run; merge dedupes
 
 
-def _read_done_keys(paths: ShardPaths) -> set:
-    keys = set()
-    for path in paths.done_dir.glob("*.done"):
-        try:
-            keys.add(path.read_text(encoding="utf-8").strip())
-        except OSError:
-            continue
-    return keys
+def _read_done_keys(paths: ShardPaths, markers: Dict[str, str]) -> set:
+    """The sweep keys with a done marker, counted by marker name alone.
+
+    ``markers`` maps the marker file name of every sweep key to the key,
+    so one listing answers the supervisor's poll without opening a
+    marker (workers test a marker's existence the same way); temp
+    leftovers of a publish and markers of keys outside the sweep do not
+    count.
+    """
+    return {markers[name] for name in os.listdir(paths.done_dir)
+            if name in markers}
 
 
 # ----------------------------------------------------------------------
@@ -872,6 +875,7 @@ def run_sharded_experiment(
     events = EventLog(paths.events_path)
     cells = _enumerate_cells(config, graphs)
     cell_keys = {cell.key for cell in cells}
+    markers = {_done_path(paths, key).name: key for key in cell_keys}
     lease_timeout = float(getattr(config, "lease_timeout_seconds", 30.0))
 
     # Resume: records from previous incarnations count as done.
@@ -917,7 +921,7 @@ def run_sharded_experiment(
     workers: Dict[int, object] = {}
     try:
         while True:
-            done_keys = _read_done_keys(paths) & cell_keys
+            done_keys = _read_done_keys(paths, markers)
             if done_keys - reported:
                 _read_new_records(paths, fingerprint, offsets, records)
             for key in sorted((done_keys - reported) & set(records)):

@@ -10,9 +10,8 @@ seed noise.  This package attaches the missing uncertainty:
 * :mod:`repro.stats.comparisons` — sweep-level orchestration: one
   journaled, BLAKE2b-seeded unit per (noise type, level, measure,
   algorithm [pair]), assembled into a Holm-corrected
-  :class:`~repro.stats.comparisons.SweepStats`;
-* :mod:`repro.stats.parallel` — fork-pool fan-out of the units,
-  bit-identical to serial.
+  :class:`~repro.stats.comparisons.SweepStats`, computed in the calling
+  process.
 
 Typical use::
 

@@ -20,10 +20,6 @@ The stats journal is fingerprint-checked (:func:`stats_fingerprint`
 covers the statistical parameters *and* a digest of the underlying
 records), so stale statistics can never be silently grafted onto
 different data.
-
-``StatsConfig(workers=N)`` fans the units out through the fork-based
-pool in :mod:`repro.stats.parallel`; chunked seeding makes the results
-bit-identical to a serial computation.
 """
 
 from __future__ import annotations
@@ -61,11 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StatsConfig:
-    """What to compute and how — the statistical twin of ExperimentConfig.
+    """What to compute — the statistical twin of ExperimentConfig.
 
-    ``workers`` is an execution knob (excluded from the fingerprint,
-    bit-identical results); everything else changes what the statistics
-    *are* and participates in :func:`stats_fingerprint`.
+    Every field changes what the statistics *are* and participates in
+    :func:`stats_fingerprint`.
     """
 
     resamples: int = 2000
@@ -75,7 +70,6 @@ class StatsConfig:
     seed: int = 0
     measures: Optional[Tuple[str, ...]] = None  # None = every measure seen
     min_pairs: int = 2              # comparisons need at least this many
-    workers: int = 1
 
     def __post_init__(self):
         if self.resamples < 1:
@@ -94,9 +88,6 @@ class StatsConfig:
         if self.min_pairs < 1:
             raise ExperimentError(
                 f"min_pairs must be >= 1, got {self.min_pairs}")
-        if self.workers < 1:
-            raise ExperimentError(
-                f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -216,10 +207,12 @@ def stats_fingerprint(table, config: StatsConfig) -> str:
 
     A stats journal written against one result table (or one resample
     budget, confidence level, ...) must not be resumed against another:
-    the fingerprint covers every semantic field of :class:`StatsConfig`
-    (``workers`` excluded — execution only) plus a digest over the sorted
-    record identities *including their measure values*, so even a sweep
-    that re-ran one cell to a different value invalidates the journal.
+    the fingerprint covers every field of :class:`StatsConfig` plus a
+    digest over the sorted record identities *including their measure
+    values*, so even a sweep that re-ran one cell to a different value
+    invalidates the journal.  Measures enter as the sorted set they
+    resolve to on ``table``: ``None`` and every order of the same
+    measures enumerate the same keyed units, so they share a side-car.
     """
     data = hashlib.blake2b(digest_size=16)
     for identity in sorted(repr(_record_identity(r)) for r in table.records):
@@ -230,8 +223,7 @@ def stats_fingerprint(table, config: StatsConfig) -> str:
         "alpha": float(config.alpha),
         "bootstrap_method": config.bootstrap_method,
         "seed": int(config.seed),
-        "measures": (list(config.measures)
-                     if config.measures is not None else None),
+        "measures": sorted(set(_sweep_measures(table, config))),
         "min_pairs": int(config.min_pairs),
         "records": data.hexdigest(),
     }
@@ -260,7 +252,7 @@ def _enumerate_units(table, config: StatsConfig) -> List[Tuple]:
     """Every (group | comparison) unit of this sweep, deterministic order.
 
     A unit is ``(kind, key, seed, payload)`` where payload carries the
-    raw value vectors — everything a worker needs, nothing more.  Units
+    raw value vectors — everything :func:`compute_unit` needs.  Units
     whose sample is too small for their statistic (empty groups, pairs
     sharing fewer than ``min_pairs`` instances) are simply not
     enumerated; absence in :class:`SweepStats` is the honest answer.
@@ -313,7 +305,7 @@ def compute_unit(kind: str, seed: int, payload: Dict,
     """Compute one journaled unit; returns its serialized entry dict.
 
     Pure function of ``(kind, seed, payload, config)`` — the contract
-    that makes serial, pooled, and resumed runs interchangeable.
+    that makes a fresh run and a resumed one interchangeable.
     """
     if kind == "group":
         ci = bootstrap_ci(payload["values"], confidence=config.confidence,
@@ -559,12 +551,9 @@ def compute_sweep_stats(table, config: Optional[StatsConfig] = None,
     is durably appended as a ``stats`` line before the next one starts,
     journaled units are never recomputed, and the journal's fingerprint
     (:func:`stats_fingerprint`) rejects a resume against different data
-    or parameters.  ``config.workers > 1`` computes missing units on a
-    fork-based pool with the parent as the single journal writer;
-    results are bit-identical to serial.
+    or parameters.  Every unit is computed in the calling process.
 
-    ``progress(key)`` fires before each missing unit is computed
-    (serial) or after it is collected (parallel).
+    ``progress(key)`` fires before each missing unit is computed.
     """
     config = config or StatsConfig()
     owns_journal = journal is not None and not isinstance(journal, RunJournal)
@@ -574,28 +563,15 @@ def compute_sweep_stats(table, config: Optional[StatsConfig] = None,
     try:
         units = _enumerate_units(table, config)
         done: Dict[str, Dict[str, object]] = {}
-        pending = []
         for kind, key, seed, payload in units:
             entry = journal.get_stats(key) if journal is not None else None
-            if entry is not None:
-                done[key] = entry
-            else:
-                pending.append((kind, key, seed, payload))
-        if pending and config.workers > 1:
-            from repro.stats.parallel import compute_units_parallel
-            for key, entry in compute_units_parallel(pending, config,
-                                                     progress=progress):
-                done[key] = entry
-                if journal is not None:
-                    journal.append_stats(key, entry)
-        else:
-            for kind, key, seed, payload in pending:
+            if entry is None:
                 if progress is not None:
                     progress(key)
                 entry = compute_unit(kind, seed, payload, config)
-                done[key] = entry
                 if journal is not None:
                     journal.append_stats(key, entry)
+            done[key] = entry
         groups = []
         comparisons = []
         for kind, key, _seed, _payload in units:

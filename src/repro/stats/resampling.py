@@ -12,7 +12,7 @@ Every statistical claim the framework publishes rides on two estimators:
 * :func:`bootstrap_ci` — percentile or BCa (bias-corrected and
   accelerated) **bootstrap confidence interval** for a sample mean.
 
-Both are built for a journaled, parallel harness, which imposes two
+Both are built for a journaled, resumable harness, which imposes two
 non-negotiable properties:
 
 * **Determinism from one integer seed.**  All randomness flows through
@@ -22,8 +22,8 @@ non-negotiable properties:
 * **Execution-order independence.**  Inputs are canonically sorted
   before resampling and per-chunk contributions combine through
   order-independent reductions (exceedance counts; concatenation in
-  fixed chunk order), so a serial loop, a worker pool, and a resumed
-  run all produce **bit-identical** p-values and interval endpoints.
+  fixed chunk order), so a fresh run and a resumed one produce
+  **bit-identical** p-values and interval endpoints.
 
 Resample draws are observable: each chunk increments the
 ``permutation_resamples`` / ``bootstrap_resamples`` performance
@@ -53,8 +53,8 @@ __all__ = [
 ]
 
 # Resamples are drawn in fixed-size chunks, each from its own derived
-# seed, so a resample budget can be split across workers (or interleaved
-# with journal appends) without changing a single drawn value.
+# seed, so a unit's draws are a pure function of (seed, chunk) whatever
+# order units run or resume in.  The golden suite pins these draws.
 RESAMPLE_CHUNK = 2048
 
 # Largest pair count enumerated exactly: 2^16 sign assignments is a
@@ -104,7 +104,7 @@ def resample_chunks(resamples: int,
     """Split a resample budget into ``(chunk_index, count)`` pieces.
 
     The split is a pure function of ``resamples`` and ``chunk``, so every
-    executor partitions the budget identically.
+    run partitions the budget identically.
     """
     if resamples < 1:
         raise ExperimentError(f"resamples must be >= 1, got {resamples}")
@@ -125,8 +125,8 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """The RNG for one resample chunk, derived from ``(seed, index)``.
 
     Built on :class:`~numpy.random.SeedSequence` spawn keys, so chunk
-    streams are statistically independent yet fully reproducible — the
-    property that lets chunks run in any order on any worker.
+    streams are statistically independent yet fully reproducible: a
+    chunk's draw never depends on what was drawn before it.
     """
     sequence = np.random.SeedSequence(entropy=int(seed),
                                       spawn_key=(int(chunk_index),))
@@ -219,8 +219,8 @@ def bootstrap_ci(values: Sequence[float], confidence: float = 0.95,
     means; ``method="bca"`` (the default) additionally corrects for
     bias and skew — the variant a released benchmark should quote.
     The input is sorted before resampling (order invariance) and chunk
-    draws concatenate in fixed chunk order, so serial, pooled, and
-    resumed computations agree bitwise.  A single-valued or constant
+    draws concatenate in fixed chunk order, so fresh and resumed
+    computations agree bitwise.  A single-valued or constant
     sample collapses to a zero-width interval.
     """
     if not 0.0 < confidence < 1.0:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
@@ -16,6 +17,27 @@ from repro.assignment import (
 )
 from repro.assignment.base import ASSIGNMENT_METHODS
 from repro.exceptions import AssignmentError
+
+
+@st.composite
+def tied_similarities(draw):
+    """Dense n x k similarities (1 <= n, k <= 8) full of exact zeros,
+    negatives and ties: small integers, GRASP-like -d^2 (maximum -0.0),
+    rounded normals and 0/1 masks."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("integers", "grasp", "normal", "mask")))
+    if kind == "grasp":
+        rows = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        cols = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        return -(np.subtract.outer(rows, cols).astype(float) ** 2)
+    if kind == "normal":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        return np.round(rng.normal(size=(n, k)), 1)
+    low = -3 if kind == "integers" else 0
+    high = 3 if kind == "integers" else 1
+    values = draw(st.lists(st.integers(low, high), min_size=n * k,
+                           max_size=n * k))
+    return np.array(values, dtype=float).reshape(n, k)
 
 
 @pytest.fixture
@@ -206,6 +228,24 @@ class TestExtractAlignment:
     def test_sparse_input_densified_for_jv(self):
         sim = sparse.csr_matrix(np.eye(4))
         assert extract_alignment(sim, "jv").tolist() == [0, 1, 2, 3]
+
+    @given(tied_similarities())
+    @settings(max_examples=200, deadline=None)
+    def test_objective_order_jv_equals_mwm_at_least_greedy(self, sim):
+        # The similarity-sum objective orders the back-ends JV = MWM
+        # (dense) >= SG, NN-1to1 on every dense input, zeros included.
+        rows, cols = linear_sum_assignment(sim, maximize=True)
+        best = sim[rows, cols].sum()
+        for method in ("jv", "mwm", "sg", "nn-1to1"):
+            mapping = extract_alignment(sim, method)
+            matched = np.flatnonzero(mapping >= 0)
+            assert len(set(mapping[matched].tolist())) == matched.size
+            value = sim[matched, mapping[matched]].sum()
+            if method in ("jv", "mwm"):
+                assert matched.size == min(sim.shape), method
+                assert value == pytest.approx(best, abs=1e-9), method
+            else:
+                assert value <= best + 1e-9, method
 
     def test_oracle_similarity_recovers_permutation(self):
         rng = np.random.default_rng(3)

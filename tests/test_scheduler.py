@@ -27,9 +27,12 @@ from repro.harness import (
     config_fingerprint,
     run_experiment,
 )
+from repro.harness.journal import cell_key
 from repro.harness.scheduler import (
     Lease,
     ShardPaths,
+    _publish_done,
+    _read_done_keys,
     bump_attempts,
     cell_hash,
     lease_path,
@@ -204,6 +207,23 @@ class TestShardMerge:
         s3.close()
         merged = merge_shard_records(ShardPaths(tmp_path / "J", 2), "fp")
         assert set(merged) == {"k1"}
+
+
+class TestDoneMarkers:
+    def test_done_keys_are_counted_by_marker_name(self, tmp_path):
+        # A marker whose content was lost still counts; a publish's temp
+        # leftover and a marker for a key outside the sweep do not.
+        paths = ShardPaths(tmp_path / "run.jsonl", 1)
+        paths.ensure_dirs()
+        sweep = [cell_key("pl", "one-way", level, 0, name)
+                 for level in (0.0, 0.02) for name in ("isorank", "nsd")]
+        _publish_done(paths, sweep[0])
+        (paths.done_dir / f"{cell_hash(sweep[1])}.done").write_bytes(b"")
+        (paths.done_dir / f".{cell_hash(sweep[2])}.done.{os.getpid()}.0.tmp"
+         ).write_text(sweep[2] + "\n")
+        _publish_done(paths, cell_key("pl", "one-way", 0.05, 0, "nsd"))
+        markers = {f"{cell_hash(key)}.done": key for key in sweep}
+        assert _read_done_keys(paths, markers) == {sweep[0], sweep[1]}
 
 
 class TestShardedSweep:

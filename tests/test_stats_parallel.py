@@ -1,13 +1,14 @@
-"""Parallel and crash-resume guarantees of the statistics layer.
+"""Execution-identity and crash-resume guarantees of the statistics layer.
 
-The contract under test: statistics are **bit-identical** however they
-are executed — serial, on a worker pool, over a sharded sweep, or
-resumed after a SIGKILL — because every resample flows from a derived
-seed through chunk-indexed RNG streams.  The SIGKILL test drives a real
-child interpreter, exactly like the sweep's own resume-integration
-suite.
+The contract under test: statistics are **bit-identical** however the
+sweep behind them was executed — serial, on ``workers``, over
+``shards`` — and when resumed after a SIGKILL, because every resample
+flows from a derived seed through chunk-indexed RNG streams.  The
+SIGKILL test drives a real child interpreter, exactly like the sweep's
+own resume-integration suite.
 """
 
+import io
 import os
 import signal
 import subprocess
@@ -16,12 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.exceptions import ExperimentError
 from repro.graphs import powerlaw_cluster_graph
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.results import ResultTable
 from repro.stats import StatsConfig, compute_sweep_stats, stats_journal_path
-from repro.stats import parallel as stats_parallel
 from tests.test_stats_golden import golden_records
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,105 +40,6 @@ def _stats_dump(stats):
     """Everything semantically observable, for exact-equality checks."""
     return ([g.to_dict() for g in stats.groups],
             [(c.to_dict(), c.p_holm) for c in stats.comparisons])
-
-
-class TestWorkerPoolIdentity:
-    def test_workers_bit_identical_to_serial(self):
-        table = ResultTable(golden_records())
-        serial = compute_sweep_stats(table, StatsConfig(resamples=512,
-                                                        seed=17))
-        pooled = compute_sweep_stats(table, StatsConfig(resamples=512,
-                                                        seed=17, workers=4))
-        assert _stats_dump(serial) == _stats_dump(pooled)
-
-    def test_pool_reports_progress_per_unit(self):
-        table = ResultTable(golden_records())
-        seen = []
-        compute_sweep_stats(table, StatsConfig(resamples=64, seed=1,
-                                               workers=2),
-                            progress=seen.append)
-        assert len(seen) == len(set(seen)) == 24  # 12 groups + 12 cmps
-
-    def test_worker_error_reraised_in_parent(self):
-        # A unit that raises inside a worker must fail the whole
-        # computation loudly — stats units are pure functions, so an
-        # exception is a bug, never a skippable cell.
-        units = [("group", "stats|group|bad", 1,
-                  {"noise_type": "one-way", "noise_level": 0.0,
-                   "measure": "accuracy", "algorithm": "x",
-                   "values": [float("nan"), 1.0]})]
-        with pytest.raises(ExperimentError, match="failed in a worker"):
-            list(stats_parallel.compute_units_parallel(
-                units, StatsConfig(workers=2)))
-
-    def test_dead_pool_detected(self, monkeypatch):
-        # Workers that die without reporting (OOM kill, segfault) must
-        # surface as an error, not a hang.  The fork start method makes
-        # children inherit the monkeypatched compute_unit.
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("needs fork start method")
-        monkeypatch.setattr(stats_parallel, "compute_unit",
-                            lambda *a, **k: os._exit(1))
-        units = [("group", "stats|group|k", 1,
-                  {"noise_type": "one-way", "noise_level": 0.0,
-                   "measure": "accuracy", "algorithm": "x",
-                   "values": [1.0, 2.0]})]
-        with pytest.raises(ExperimentError, match="workers exited"):
-            list(stats_parallel.compute_units_parallel(
-                units, StatsConfig(workers=1)))
-
-    def test_worker_body_in_process(self):
-        # The worker loop itself, driven with plain queues in this
-        # process: computes until the sentinel, ships errors as strings.
-        import queue
-
-        tasks, results = queue.Queue(), queue.Queue()
-        good = ("group", "stats|group|ok", 1,
-                {"noise_type": "one-way", "noise_level": 0.0,
-                 "measure": "accuracy", "algorithm": "x",
-                 "values": [1.0, 2.0, 3.0]})
-        bad = ("group", "stats|group|bad", 1,
-               {"noise_type": "one-way", "noise_level": 0.0,
-                "measure": "accuracy", "algorithm": "x", "values": []})
-        for task in (good, bad, None):
-            tasks.put(task)
-        stats_parallel._stats_worker(tasks, results, StatsConfig())
-        key, entry, error = results.get_nowait()
-        assert key == "stats|group|ok" and error is None
-        assert entry["n"] == 3
-        key, entry, error = results.get_nowait()
-        assert key == "stats|group|bad" and entry is None
-        assert "ExperimentError" in error
-
-    def test_slow_unit_keeps_parent_waiting(self, monkeypatch):
-        # A unit outlasting the collection timeout must not be declared
-        # dead while its worker is alive and busy.
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("needs fork start method")
-        real = stats_parallel.compute_unit
-
-        def slow(kind, seed, payload, config):
-            import time
-            time.sleep(1.5)
-            return real(kind, seed, payload, config)
-
-        monkeypatch.setattr(stats_parallel, "compute_unit", slow)
-        units = [("group", "stats|group|slow", 1,
-                  {"noise_type": "one-way", "noise_level": 0.0,
-                   "measure": "accuracy", "algorithm": "x",
-                   "values": [1.0, 2.0]})]
-        out = list(stats_parallel.compute_units_parallel(
-            units, StatsConfig(workers=1)))
-        assert len(out) == 1 and out[0][0] == "stats|group|slow"
-
-    def test_empty_units_no_pool(self):
-        assert list(stats_parallel.compute_units_parallel(
-            [], StatsConfig(workers=4))) == []
-
-    def test_pool_context_fallback(self, monkeypatch):
-        monkeypatch.setattr(stats_parallel.mp, "get_all_start_methods",
-                            lambda: ["spawn"])
-        assert stats_parallel._pool_context() is not None
 
 
 class TestSweepExecutionIdentity:
@@ -177,6 +79,34 @@ class TestSweepExecutionIdentity:
         with pytest.raises(ExperimentError, match="fingerprint"):
             compute_sweep_stats(table, StatsConfig(resamples=256, seed=3),
                                 journal=sidecar)
+
+    def test_fingerprint_accepts_any_order_of_measures(self, tmp_path):
+        # None and every order of the same measures enumerate the same
+        # keyed units, so they resume one side-car with nothing recomputed.
+        table = ResultTable(golden_records())
+        sidecar = tmp_path / "units.stats"
+        first = compute_sweep_stats(
+            table, StatsConfig(resamples=128, seed=3,
+                               measures=("s3", "accuracy")),
+            journal=sidecar)
+        for measures in (None, ("accuracy", "s3")):
+            recomputed = []
+            resumed = compute_sweep_stats(
+                table, StatsConfig(resamples=128, seed=3, measures=measures),
+                journal=sidecar, progress=recomputed.append)
+            assert recomputed == []
+            assert resumed.format_summary() == first.format_summary()
+
+    def test_cli_resumes_the_sweep_sidecar_without_measures(self, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        table = run_experiment(ExperimentConfig(**SWEEP), {"pl": GRAPH},
+                               journal=str(journal))
+        sidecar = stats_journal_path(journal).read_bytes()
+        out = io.StringIO()
+        assert main(["stats", "--journal", str(journal),
+                     "--resamples", "256", "--seed", "7"], out=out) == 0
+        assert table.stats.format_summary() in out.getvalue()
+        assert stats_journal_path(journal).read_bytes() == sidecar
 
     def test_fingerprint_rejects_other_data(self, tmp_path):
         table = ResultTable(golden_records())

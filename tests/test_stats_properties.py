@@ -306,7 +306,6 @@ class TestValidation:
         dict(alpha=1.0),
         dict(bootstrap_method="jackknife"),
         dict(min_pairs=0),
-        dict(workers=0),
     ])
     def test_stats_config_validation(self, kwargs):
         with pytest.raises(ExperimentError):
@@ -316,4 +315,3 @@ class TestValidation:
         config = StatsConfig()
         assert config.resamples == 2000
         assert config.bootstrap_method == "bca"
-        assert config.workers == 1
