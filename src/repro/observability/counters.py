@@ -27,7 +27,7 @@ __all__ = ["KNOWN_COUNTERS", "add_counter"]
 
 # Counter name -> what one unit means.
 KNOWN_COUNTERS = {
-    "sinkhorn_iterations": "log-domain Sinkhorn update sweeps performed",
+    "sinkhorn_iterations": "Sinkhorn update sweeps (one u and one v update each)",
     "gw_outer_iterations": "proximal-point outer iterations in the GW solver",
     "gw_leaf_solves": "leaf-level GW solves in the S-GWL recursion",
     "gw_partitions": "recursive partition steps taken by S-GWL",

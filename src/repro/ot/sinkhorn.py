@@ -1,14 +1,27 @@
 """Entropic optimal transport via Sinkhorn–Knopp matrix scaling.
 
 Solves ``min_T <C, T> - eps * H(T)`` over couplings with marginals
-``(mu, nu)``.  Log-domain stabilization is applied automatically when the
-regularization is small relative to the cost spread, so callers never see
-numerical underflow.
+``(mu, nu)``.  The iterations run in the scaling domain on an absorbed
+kernel (the stabilized scaling algorithm of Schmitzer, arXiv 1610.06519):
+
+    K = exp(-C/eps + f/eps ⊕ g/eps),   u = mu / (K v),   v = nu / (K^T u),
+
+so one sweep costs two BLAS matrix–vector products.  The dual potentials
+are ``f + eps log u`` and ``g + eps log v``.  Every row of the first
+kernel holds an entry equal to 1 (each row's largest ``-C/eps`` starts in
+``f``).  Whenever a scaling leaves ``[1e-50, 1e50]`` it is absorbed: ``u``
+and ``v`` fold into ``f`` and ``g``, reset to 1, and ``K`` is rebuilt.  A
+half-step whose scaling or denominator (``K v``, ``K^T u``) leaves
+``[1e-100, 1e100]`` or is not finite is redone in the log domain: that
+catches kernel rows and columns that underflowed, where subnormal entries
+would cost precision, and zero-mass marginal entries (clamped to 1e-300),
+which always take this path.  The returned plan is built from the
+potentials in one exponent.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -18,6 +31,13 @@ from repro.observability import add_counter
 
 __all__ = ["sinkhorn"]
 
+# A scaling outside [1/_ABSORB, _ABSORB] is folded into the potentials.
+# A scaling or denominator outside [1/_GUARD, _GUARD] (or non-finite)
+# came from a kernel too far under- or overflowed to trust, so its
+# half-step is redone in the log domain.
+_ABSORB = 1e50
+_GUARD = 1e100
+
 
 def _check_marginal(weights: Optional[np.ndarray], size: int) -> np.ndarray:
     if weights is None:
@@ -25,9 +45,22 @@ def _check_marginal(weights: Optional[np.ndarray], size: int) -> np.ndarray:
     arr = np.asarray(weights, dtype=np.float64)
     if arr.shape != (size,):
         raise AlgorithmError(f"marginal must have shape ({size},), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise AlgorithmError("marginals must be finite")
     if np.any(arr < 0) or arr.sum() <= 0:
         raise AlgorithmError("marginals must be non-negative and sum to > 0")
     return arr / arr.sum()
+
+
+def _logsumexp(mat: np.ndarray, axis: int) -> np.ndarray:
+    peak = mat.max(axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    return (peak + np.log(np.exp(mat - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def _outside(scaling: np.ndarray, bound: float) -> bool:
+    # Written so that a NaN scaling fails both comparisons.
+    return not (scaling.min() >= 1.0 / bound and scaling.max() <= bound)
 
 
 def sinkhorn(
@@ -41,14 +74,19 @@ def sinkhorn(
 ) -> np.ndarray:
     """Entropically regularized transport plan between ``mu`` and ``nu``.
 
-    Runs in the log domain for stability.  Returns the ``(n, m)`` coupling;
-    by default non-convergence returns the current plan (the iterative GW
-    solvers only need an approximate inner solve), while
+    Iterates in the scaling domain, absorbing extreme scalings into the
+    potentials and redoing untrustworthy half-steps in the log domain
+    (module docstring), and stops after the first sweep in which no
+    potential moved by ``tol`` or more.  Returns the ``(n, m)``
+    coupling; by default non-convergence returns the current plan (the
+    iterative GW solvers only need an approximate inner solve), while
     ``raise_on_failure=True`` raises :class:`ConvergenceError`.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
         raise AlgorithmError(f"cost must be 2-D, got ndim={c.ndim}")
+    if c.size == 0:
+        raise AlgorithmError(f"cost matrix must be non-empty, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         # Match the finite checks of the assignment solvers: NaN/Inf in
         # the cost would silently poison the returned plan.
@@ -63,31 +101,61 @@ def sinkhorn(
     mu = _check_marginal(mu, n)
     nu = _check_marginal(nu, m)
 
-    log_mu = np.log(np.maximum(mu, 1e-300))
-    log_nu = np.log(np.maximum(nu, 1e-300))
+    mass_mu = np.maximum(mu, 1e-300)
+    mass_nu = np.maximum(nu, 1e-300)
+    log_mu = np.log(mass_mu)
+    log_nu = np.log(mass_nu)
+    scaled = -c / epsilon
+    # Potentials in units of epsilon: the plan is diag(u) K diag(v) with
+    # K = exp(scaled + a ⊕ b); the full potentials are a + log u and
+    # b + log v.
+    a = -scaled.max(axis=1)
+    b = np.zeros(m)
+    kernel = np.exp(scaled + a[:, np.newaxis])
     f = np.zeros(n)
     g = np.zeros(m)
-    scaled = -c / epsilon
+    ones_n, ones_m = np.ones(n), np.ones(m)
+    v = ones_m
 
-    def _logsumexp(mat: np.ndarray, axis: int) -> np.ndarray:
-        peak = mat.max(axis=axis, keepdims=True)
-        peak = np.where(np.isfinite(peak), peak, 0.0)
-        return (peak + np.log(np.exp(mat - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
+    def absorbed_kernel() -> np.ndarray:
+        return np.exp(scaled + a[:, np.newaxis] + b[np.newaxis, :])
 
     converged = False
     shift = np.inf
     iterations = 0
-    for _ in range(max_iter):
-        f_new = epsilon * (log_mu - _logsumexp(scaled + g[np.newaxis, :] / epsilon, axis=1))
-        g_new = epsilon * (
-            log_nu - _logsumexp(scaled + f_new[:, np.newaxis] / epsilon, axis=0)
-        )
-        shift = max(np.abs(f_new - f).max(), np.abs(g_new - g).max())
-        f, g = f_new, g_new
-        iterations += 1
-        if shift < tol:
-            converged = True
-            break
+    with np.errstate(divide="ignore", over="ignore", under="ignore",
+                     invalid="ignore"):
+        for _ in range(max_iter):
+            kv = kernel @ v
+            u = mass_mu / kv
+            if _outside(u, _GUARD) or _outside(kv, _GUARD):
+                b = b + np.log(v)
+                a = log_mu - _logsumexp(scaled + b[np.newaxis, :], axis=1)
+                u, v = ones_n, ones_m
+                kernel = absorbed_kernel()
+            elif _outside(u, _ABSORB):
+                a, b = a + np.log(u), b + np.log(v)
+                u, v = ones_n, ones_m
+                kernel = absorbed_kernel()
+            ku = kernel.T @ u
+            v = mass_nu / ku
+            if _outside(v, _GUARD) or _outside(ku, _GUARD):
+                a = a + np.log(u)
+                b = log_nu - _logsumexp(scaled + a[:, np.newaxis], axis=0)
+                u, v = ones_n, ones_m
+                kernel = absorbed_kernel()
+            elif _outside(v, _ABSORB):
+                a, b = a + np.log(u), b + np.log(v)
+                u, v = ones_n, ones_m
+                kernel = absorbed_kernel()
+            f_new = a + np.log(u)
+            g_new = b + np.log(v)
+            shift = epsilon * max(np.abs(f_new - f).max(), np.abs(g_new - g).max())
+            f, g = f_new, g_new
+            iterations += 1
+            if shift < tol:
+                converged = True
+                break
     add_counter("sinkhorn_iterations", iterations)
     if not converged:
         if raise_on_failure:
@@ -104,7 +172,9 @@ def sinkhorn(
             "returning the current plan",
             fallback_used="current_plan",
         )
-    plan = np.exp(scaled + f[:, np.newaxis] / epsilon + g[np.newaxis, :] / epsilon)
+    # One exponent from the potentials, never u * K * v: separately tiny
+    # factors would underflow where their product does not.
+    plan = np.exp(scaled + f[:, np.newaxis] + g[np.newaxis, :])
     # One exact row rescale keeps the mu-marginal tight.
     row = plan.sum(axis=1)
     row[row == 0] = 1.0

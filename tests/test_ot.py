@@ -1,9 +1,15 @@
 """Tests for the optimal-transport substrate (Sinkhorn, GW, Procrustes)."""
 
+from typing import Optional
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.context import RunContext
+from repro.diagnostics import capture_diagnostics, record_diagnostic
 from repro.exceptions import AlgorithmError, ConvergenceError
+from repro.observability import add_counter, capture_trace, counter_totals
 from repro.ot import (
     gromov_wasserstein,
     gw_discrepancy,
@@ -12,6 +18,132 @@ from repro.ot import (
     sinkhorn,
 )
 from repro.ot.gromov import gw_barycenter_costs
+
+
+# ----------------------------------------------------------------------
+# Reference: the log-domain Sinkhorn loop, two log-sum-exp passes per
+# sweep.  ``sinkhorn`` must compute what it computes.
+# ----------------------------------------------------------------------
+
+def _reference_check_marginal(weights: Optional[np.ndarray], size: int) -> np.ndarray:
+    if weights is None:
+        return np.full(size, 1.0 / size)
+    arr = np.asarray(weights, dtype=np.float64)
+    if arr.shape != (size,):
+        raise AlgorithmError(f"marginal must have shape ({size},), got {arr.shape}")
+    if np.any(arr < 0) or arr.sum() <= 0:
+        raise AlgorithmError("marginals must be non-negative and sum to > 0")
+    return arr / arr.sum()
+
+
+def reference_sinkhorn(
+    cost: np.ndarray,
+    mu: Optional[np.ndarray] = None,
+    nu: Optional[np.ndarray] = None,
+    epsilon: float = 0.01,
+    max_iter: int = 500,
+    tol: float = 1e-9,
+    raise_on_failure: bool = False,
+) -> np.ndarray:
+    c = np.asarray(cost, dtype=np.float64)
+    if c.ndim != 2:
+        raise AlgorithmError(f"cost must be 2-D, got ndim={c.ndim}")
+    if not np.all(np.isfinite(c)):
+        # Match the finite checks of the assignment solvers: NaN/Inf in
+        # the cost would silently poison the returned plan.
+        bad = c.size - int(np.isfinite(c).sum())
+        raise AlgorithmError(
+            f"Sinkhorn cost matrix contains {bad} non-finite entries "
+            f"(of {c.size})"
+        )
+    if epsilon <= 0:
+        raise AlgorithmError(f"epsilon must be positive, got {epsilon}")
+    n, m = c.shape
+    mu = _reference_check_marginal(mu, n)
+    nu = _reference_check_marginal(nu, m)
+
+    log_mu = np.log(np.maximum(mu, 1e-300))
+    log_nu = np.log(np.maximum(nu, 1e-300))
+    f = np.zeros(n)
+    g = np.zeros(m)
+    scaled = -c / epsilon
+
+    def _logsumexp(mat: np.ndarray, axis: int) -> np.ndarray:
+        peak = mat.max(axis=axis, keepdims=True)
+        peak = np.where(np.isfinite(peak), peak, 0.0)
+        return (peak + np.log(np.exp(mat - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+    converged = False
+    shift = np.inf
+    iterations = 0
+    for _ in range(max_iter):
+        f_new = epsilon * (log_mu - _logsumexp(scaled + g[np.newaxis, :] / epsilon, axis=1))
+        g_new = epsilon * (
+            log_nu - _logsumexp(scaled + f_new[:, np.newaxis] / epsilon, axis=0)
+        )
+        shift = max(np.abs(f_new - f).max(), np.abs(g_new - g).max())
+        f, g = f_new, g_new
+        iterations += 1
+        if shift < tol:
+            converged = True
+            break
+    add_counter("sinkhorn_iterations", iterations)
+    if not converged:
+        if raise_on_failure:
+            raise ConvergenceError(
+                f"Sinkhorn did not converge in {max_iter} iterations"
+            )
+        # Returning the current plan is the documented fallback (the
+        # iterative GW solvers only need an approximate inner solve) —
+        # make it observable instead of silent.
+        record_diagnostic(
+            "sinkhorn", "nonconvergence",
+            f"no convergence in {max_iter} iterations "
+            f"(last potential shift {shift:.3e}, tol {tol:.1e}); "
+            "returning the current plan",
+            fallback_used="current_plan",
+        )
+    plan = np.exp(scaled + f[:, np.newaxis] / epsilon + g[np.newaxis, :] / epsilon)
+    # One exact row rescale keeps the mu-marginal tight.
+    row = plan.sum(axis=1)
+    row[row == 0] = 1.0
+    return plan * (mu / row)[:, np.newaxis]
+
+
+def _traced(solver, *args, **kwargs):
+    """``(plan, sinkhorn_iterations, diagnostics)`` of one solver call."""
+    with RunContext(trace=True).enter(), capture_trace() as trace, \
+            capture_diagnostics() as events:
+        plan = solver(*args, **kwargs)
+    counters = counter_totals(trace.to_payload())
+    return (plan, counters.get("sinkhorn_iterations", 0),
+            [(e.stage, e.kind, e.fallback_used) for e in events])
+
+
+@st.composite
+def sinkhorn_problems(draw):
+    """``(cost, mu, nu, epsilon, max_iter)``: n x m costs (1 <= n, m <= 14)
+    uniform times 1, 4 or 100, a fifth of them rounded to integers for
+    ties; marginals uniform (None) or random with about 20% zero mass."""
+    n, m = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cost = rng.random((n, m)) * draw(st.sampled_from((1.0, 4.0, 100.0)))
+    if draw(st.integers(0, 4)) == 0:
+        cost = np.round(cost)
+
+    def marginal(size):
+        if draw(st.booleans()):
+            return None
+        weights = rng.random(size)
+        weights[rng.random(size) < 0.2] = 0.0
+        if not weights.any():
+            weights[rng.integers(size)] = 1.0
+        return weights
+
+    mu, nu = marginal(n), marginal(m)
+    epsilon = draw(st.sampled_from((1e-4, 1e-3, 1e-2, 0.1, 1.0)))
+    max_iter = draw(st.sampled_from((1, 5, 50, 500)))
+    return cost, mu, nu, epsilon, max_iter
 
 
 class TestSinkhorn:
@@ -46,12 +178,98 @@ class TestSinkhorn:
         with pytest.raises(AlgorithmError):
             sinkhorn(np.zeros((2, 2)), mu=np.array([-1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_marginal_rejected(self, bad):
+        # NaN fails every comparison, so the sign check alone let it
+        # through and the plan came back all-NaN.
+        with pytest.raises(AlgorithmError, match="finite"):
+            sinkhorn(np.ones((2, 2)), mu=np.array([bad, 1.0]))
+        with pytest.raises(AlgorithmError, match="finite"):
+            sinkhorn(np.ones((2, 2)), nu=np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_cost_rejected(self, shape):
+        with pytest.raises(AlgorithmError, match="non-empty"):
+            sinkhorn(np.ones(shape))
+
+    def test_non_matrix_cost_rejected(self):
+        with pytest.raises(AlgorithmError, match="2-D"):
+            sinkhorn(np.ones(3))
+
     def test_raise_on_failure(self):
         rng = np.random.default_rng(1)
         cost = rng.random((10, 10)) * 100
         with pytest.raises(ConvergenceError):
             sinkhorn(cost, epsilon=0.001, max_iter=1,
                      raise_on_failure=True)
+
+
+class TestSinkhornOracle:
+    """``sinkhorn`` (scaling domain) against the log-domain reference."""
+
+    @given(sinkhorn_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_log_domain_reference(self, problem):
+        cost, mu, nu, epsilon, max_iter = problem
+        plan, sweeps, events = _traced(sinkhorn, cost, mu, nu,
+                                       epsilon=epsilon, max_iter=max_iter)
+        ref_plan, ref_sweeps, ref_events = _traced(
+            reference_sinkhorn, cost, mu, nu, epsilon=epsilon,
+            max_iter=max_iter)
+        assert np.abs(plan - ref_plan).max() <= 1e-9
+        assert sweeps == ref_sweeps
+        assert events == ref_events
+
+    @pytest.mark.parametrize("transpose, mu, nu", [
+        (False, [0.0, 1.0], None),
+        (True, None, [0.0, 1.0]),
+        (False, [0.0, 1.0], [0.0, 1.0]),
+    ])
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+    def test_zero_mass_entries_match_reference(self, transpose, mu, nu,
+                                               epsilon):
+        # A zero-mass entry (clamped to 1e-300) puts its kernel row or
+        # column next to the subnormal range: here the row's second
+        # entry is e^-50 below its first.  Scaling it there would lose
+        # the digits its potential, and so the convergence test, needs.
+        cost = np.array([[0.5, 1.0], [0.0, 0.5]])
+        if transpose:
+            cost = cost.T
+        mu = None if mu is None else np.array(mu)
+        nu = None if nu is None else np.array(nu)
+        plan, sweeps, _ = _traced(sinkhorn, cost, mu, nu, epsilon=epsilon)
+        ref_plan, ref_sweeps, _ = _traced(reference_sinkhorn, cost, mu, nu,
+                                          epsilon=epsilon)
+        assert np.abs(plan - ref_plan).max() <= 1e-9
+        assert sweeps == ref_sweeps
+        if mu is not None:
+            assert np.all(plan[mu == 0] == 0.0)
+
+    def test_absorbed_scalings_match_reference(self):
+        # More columns than rows at a small epsilon: potentials move by
+        # hundreds of epsilon in a half-step, so both u and v leave
+        # [1e-50, 1e50] and are folded into the kernel.
+        cost = np.array([[2.5, 1.1, 0.2], [0.1, 3.3, 3.7]])
+        plan, sweeps, _ = _traced(sinkhorn, cost, epsilon=0.005)
+        ref_plan, ref_sweeps, _ = _traced(reference_sinkhorn, cost,
+                                          epsilon=0.005)
+        assert np.abs(plan - ref_plan).max() <= 1e-9
+        assert sweeps == ref_sweeps
+
+    @given(sinkhorn_problems(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_the_problem_permutes_the_plan(self, problem, seed):
+        cost, mu, nu, epsilon, max_iter = problem
+        n, m = cost.shape
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.permutation(n), rng.permutation(m)
+        plan = sinkhorn(cost, mu, nu, epsilon=epsilon, max_iter=max_iter)
+        permuted = sinkhorn(
+            cost[np.ix_(rows, cols)],
+            None if mu is None else mu[rows],
+            None if nu is None else nu[cols],
+            epsilon=epsilon, max_iter=max_iter)
+        assert np.abs(permuted - plan[np.ix_(rows, cols)]).max() <= 1e-10
 
 
 class TestGromovWasserstein:
@@ -103,6 +321,60 @@ class TestGromovWasserstein:
         plan = gromov_wasserstein(c, c, beta=0.02, outer_iter=20,
                                   extra_cost=extra, alpha=1.0)
         assert np.allclose(np.argmax(plan, axis=1), (np.arange(3) + 1) % 3)
+
+
+def _gw_every_step(c1, c2, mu, nu, beta, outer_iter, inner_iter=100,
+                   tol=1e-7, extra_cost=None, alpha=0.0, init_plan=None):
+    """The proximal GW loop pricing each step with ``gw_gradient`` and
+    scoring it with ``gw_discrepancy``: ``(plan, outer iterations)``."""
+    mu = mu / mu.sum()
+    nu = nu / nu.sum()
+    plan = np.outer(mu, nu) if init_plan is None else init_plan
+    prev_obj = np.inf
+    outer_done = 0
+    for _ in range(outer_iter):
+        cost = gw_gradient(c1, c2, plan, mu, nu)
+        if extra_cost is not None and alpha > 0:
+            cost = cost + alpha * extra_cost
+        prox_cost = cost - beta * np.log(np.maximum(plan, 1e-300))
+        plan = sinkhorn(prox_cost, mu, nu, epsilon=beta, max_iter=inner_iter)
+        outer_done += 1
+        obj = gw_discrepancy(c1, c2, plan, mu, nu)
+        if abs(prev_obj - obj) < tol * max(abs(prev_obj), 1.0):
+            break
+        prev_obj = obj
+    return plan, outer_done
+
+
+class TestGromovWassersteinOneGradientPerStep:
+    """Reusing a step's gradient as the next step's cost changes nothing."""
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("beta, outer_iter", [(0.05, 40), (0.01, 8)])
+    def test_bit_identical_to_gradient_every_step(self, fused, warm, beta,
+                                                   outer_iter):
+        rng = np.random.default_rng(11)
+        c1 = rng.random((7, 7)); c1 = (c1 + c1.T) / 2
+        c2 = rng.random((9, 9)); c2 = (c2 + c2.T) / 2
+        mu, nu = rng.random(7) + 0.5, rng.random(9) + 0.5
+        extra = rng.random((7, 9)) if fused else None
+        alpha = 0.5 if fused else 0.0
+        init = None
+        if warm:
+            init = rng.random((7, 9))
+            init /= init.sum()
+        with RunContext(trace=True).enter(), capture_trace() as trace:
+            plan = gromov_wasserstein(c1, c2, mu, nu, beta=beta,
+                                      outer_iter=outer_iter,
+                                      extra_cost=extra, alpha=alpha,
+                                      init_plan=init)
+        ref_plan, ref_outer = _gw_every_step(
+            c1, c2, mu, nu, beta, outer_iter, extra_cost=extra, alpha=alpha,
+            init_plan=init)
+        assert np.array_equal(plan, ref_plan)
+        assert counter_totals(trace.to_payload())["gw_outer_iterations"] \
+            == ref_outer
 
 
 class TestBarycenter:
