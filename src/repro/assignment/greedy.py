@@ -32,8 +32,8 @@ def nearest_neighbor(similarity) -> np.ndarray:
     one-to-one restriction is applied.
     """
     sim = _check_similarity(similarity)
-    if sim.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
+    if sim.shape[1] == 0:
+        return np.full(sim.shape[0], -1, dtype=np.int64)
     return np.argmax(sim, axis=1).astype(np.int64)
 
 

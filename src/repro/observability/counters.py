@@ -34,6 +34,8 @@ KNOWN_COUNTERS = {
     "eigensolver_calls": "Laplacian eigendecompositions performed",
     "power_iterations": "power/fixed-point iteration sweeps performed",
     "jv_augmenting_steps": "augmenting paths grown by the JV LAP solver",
+    "lap_dual_sweeps":
+        "entropic dual sweeps behind JV LAPs solved on a dual-reduced cost",
     "bp_rounds": "belief-propagation message rounds in NetAlign",
     "factor_iterations": "low-rank factor update sweeps in LREA",
     "refine_rounds": "matched-neighborhood refinement passes applied",

@@ -16,7 +16,10 @@ from repro.assignment import (
     sparse_max_weight_matching,
 )
 from repro.assignment.base import ASSIGNMENT_METHODS
+from repro.assignment.jv import _augmenting_path_solve
+from repro.context import RunContext
 from repro.exceptions import AssignmentError
+from repro.observability import capture_trace, counter_totals
 
 
 @st.composite
@@ -38,6 +41,64 @@ def tied_similarities(draw):
     values = draw(st.lists(st.integers(low, high), min_size=n * k,
                            max_size=n * k))
     return np.array(values, dtype=float).reshape(n, k)
+
+
+def degenerate_similarity(kind, n, m, seed):
+    """An n x m similarity of the low-rank, near-tied kinds whose row
+    maxima pile up in few columns: rank-1, -2 and -8 products, LREA-like
+    flat (entries within 3% of each other), GRASP-like -d^2 between 2-D
+    points, a rounded (tied) rank-2 product, and uniform noise (full
+    rank, row maxima spread over most columns)."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("rank"):
+        k = int(kind[4:])
+        return rng.random((n, k)) @ rng.random((k, m))
+    if kind == "flat":
+        product = rng.random((n, 2)) @ rng.random((2, m))
+        return 1.0 + 0.03 * product / product.max()
+    if kind == "grasp":
+        x, y = rng.normal(size=(n, 2)), 8.0 * rng.normal(size=(m, 2))
+        return -((x[:, np.newaxis, :] - y[np.newaxis, :, :]) ** 2).sum(axis=2)
+    if kind == "tied":
+        return np.round(rng.random((n, 2)) @ rng.random((2, m)), 2)
+    assert kind == "noise"
+    return rng.random((n, m))
+
+
+def reference_mapping(sim):
+    """scipy's LAP on the unreduced similarity, as a mapping array."""
+    rows, cols = linear_sum_assignment(sim, maximize=True)
+    mapping = np.full(sim.shape[0], -1, dtype=np.int64)
+    mapping[rows] = cols
+    return mapping
+
+
+def matching_value(sim, mapping):
+    matched = np.flatnonzero(mapping >= 0)
+    return sim[matched, mapping[matched]].sum()
+
+
+def unique_by_margin(sim, mapping, margin):
+    """Whether every other full matching scores below ``mapping`` by more
+    than ``margin`` (relative).  Any other matching misses one of
+    ``mapping``'s pairs, so the best one is the best of the problems with
+    one pair banned at a time."""
+    best = matching_value(sim, mapping)
+    banned = sim.min() - 1.0 - abs(sim).max() * sim.size
+    for row in np.flatnonzero(mapping >= 0):
+        trial = sim.copy()
+        trial[row, mapping[row]] = banned
+        if best - matching_value(trial, reference_mapping(trial)) \
+                <= margin * abs(best):
+            return False
+    return True
+
+
+def traced(function, *args):
+    """``function(*args)`` and the trace counters it emitted."""
+    with RunContext(trace=True).enter(), capture_trace() as trace:
+        result = function(*args)
+    return result, counter_totals(trace.to_payload())
 
 
 @pytest.fixture
@@ -155,6 +216,95 @@ class TestJonkerVolgenant:
     def test_empty(self):
         assert solve_lap(np.empty((0, 5))).size == 0
 
+    def test_non_matrix_rejected(self):
+        with pytest.raises(AssignmentError):
+            solve_lap(np.ones(3))
+        with pytest.raises(AssignmentError):
+            jonker_volgenant(np.ones((2, 2, 2)))
+
+    def test_python_engine_reports_an_infeasible_row(self):
+        # solve_lap rejects non-finite costs before either engine runs;
+        # the engine's own guard fires on a row with no finite entry.
+        with pytest.raises(AssignmentError, match="infeasible"):
+            _augmenting_path_solve(np.array([[0.0, 1.0], [np.inf, np.inf]]))
+
+
+class TestDualWarmStart:
+    """The scipy engine's dual-reduced cost against scipy on the
+    unreduced cost, the reference."""
+
+    KINDS = ("rank1", "rank2", "rank8", "flat", "grasp", "tied")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", [(128, 128), (150, 150),
+                                       (150, 170), (170, 150)],
+                             ids="{0[0]}x{0[1]}".format)
+    def test_matches_the_unreduced_reference(self, kind, shape):
+        sim = degenerate_similarity(kind, *shape, seed=sum(shape))
+        reference = reference_mapping(sim)
+        mapping, counters = traced(jonker_volgenant, sim)
+        if shape[0] == shape[1]:
+            assert counters["lap_dual_sweeps"] > 0
+        best = matching_value(sim, reference)
+        assert np.sum(mapping >= 0) == min(shape)
+        assert len(set(mapping[mapping >= 0].tolist())) == min(shape)
+        assert matching_value(sim, mapping) == pytest.approx(
+            best, rel=1e-12, abs=0)
+        if not np.array_equal(mapping, reference):
+            # Only a co-optimal tie may change: the reference optimum
+            # must not be unique by a margin.
+            assert not unique_by_margin(sim, reference, 1e-10)
+
+    @pytest.mark.parametrize("method", ASSIGNMENT_METHODS)
+    @pytest.mark.parametrize("n", [40, 150])
+    def test_relabeling_permutes_the_mapping(self, method, n):
+        sim = degenerate_similarity("rank2", n, n, seed=n)
+        rng = np.random.default_rng(n + 1)
+        rows, cols = rng.permutation(n), rng.permutation(n)
+        mapping = extract_alignment(sim, method)
+        relabeled = extract_alignment(sim[np.ix_(rows, cols)], method)
+        # Row k of the relabeled problem is source rows[k]; its column c
+        # is target cols[c].
+        assert np.array_equal(cols[relabeled], mapping[rows])
+
+    @pytest.mark.parametrize("kind, shape", [
+        ("rank1", (127, 127)),
+        ("rank1", (40, 40)),
+        ("rank1", (150, 170)),
+        ("rank1", (170, 150)),
+        ("flat", (200, 201)),
+        ("noise", (200, 200)),
+    ], ids=lambda value: value if isinstance(value, str)
+        else "{0[0]}x{0[1]}".format(value))
+    def test_rectangular_small_and_spread_inputs_stay_plain(self, kind,
+                                                            shape):
+        sim = degenerate_similarity(kind, *shape, seed=3)
+        mapping, counters = traced(jonker_volgenant, sim)
+        assert "lap_dual_sweeps" not in counters
+        assert matching_value(sim, mapping) == pytest.approx(
+            matching_value(sim, reference_mapping(sim)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", ["zero spread", "infinite spread",
+                                      "subnormal spread"])
+    def test_degenerate_spread_falls_back_to_the_plain_call(self, case):
+        n = 150
+        pattern = np.round(
+            8 * degenerate_similarity("rank1", n, n, seed=5))
+        if case == "zero spread":
+            cost = np.full((n, n), 0.5)
+        elif case == "infinite spread":
+            cost = pattern.copy()
+            cost[0, 0], cost[1, 1] = -1e308, 1e308
+        else:
+            # Exact multiples of the smallest subnormal: every gate
+            # passes, but 1/ε overflows and the potentials turn NaN.
+            cost = pattern * 5e-324
+            assert 0 < cost.max() - cost.min() < np.inf
+            assert np.unique(cost.argmin(axis=1)).size <= n // 4
+        mapping, counters = traced(solve_lap, cost)
+        assert "lap_dual_sweeps" not in counters
+        assert np.array_equal(mapping, linear_sum_assignment(cost)[1])
+
 
 class TestSparseMwm:
     def test_respects_sparsity_pattern(self):
@@ -220,6 +370,9 @@ class TestExtractAlignment:
     def test_all_methods_run(self, method, sim_3x3):
         mapping = extract_alignment(sim_3x3, method)
         assert mapping.shape == (3,)
+        # No targets at all: every source is unmatched.
+        assert extract_alignment(np.empty((3, 0)), method).tolist() \
+            == [-1, -1, -1]
 
     def test_unknown_method_rejected(self, sim_3x3):
         with pytest.raises(AssignmentError):
