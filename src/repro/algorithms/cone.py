@@ -41,7 +41,7 @@ from repro.embedding.xnetmf import structural_features
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.observability import add_counter, span
-from repro.sketch import sketch_policy_for
+from repro.sketch import SIMILARITY_TOPK, sketch_policy_for
 from repro.ot.procrustes import orthogonal_procrustes
 from repro.ot.sinkhorn import sinkhorn
 from repro.util import pairwise_sq_dists
@@ -199,5 +199,6 @@ class Cone(AlignmentAlgorithm):
         if policy is not None:
             # Final extraction via the k-d tree over the aligned space —
             # CONE's native NN output (module docstring), sparse.
-            return topk_similarity(emb_a @ rotation, emb_b, k=policy.topk)
+            return topk_similarity(emb_a @ rotation, emb_b,
+                                   k=SIMILARITY_TOPK)
         return np.exp(-pairwise_sq_dists(emb_a @ rotation, emb_b))

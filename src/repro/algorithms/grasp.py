@@ -30,7 +30,7 @@ from repro.embedding.topk import topk_similarity
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.observability import span
-from repro.sketch import sketch_policy_for
+from repro.sketch import SIMILARITY_TOPK, sketch_policy_for
 from repro.spectral import heat_kernel_diagonals, laplacian_eigenpairs
 from repro.util import pairwise_sq_dists
 
@@ -146,10 +146,10 @@ class Grasp(AlignmentAlgorithm):
 
         emb_a = phi                                  # (n_a, k)
         emb_b = psi_aligned * c[np.newaxis, :]       # (n_b, k)
-        policy = sketch_policy_for(emb_a.shape[0], emb_b.shape[0])
-        if policy is not None:
+        if sketch_policy_for(emb_a.shape[0], emb_b.shape[0]) is not None:
             # Sparse-first: top-k candidates with the "neg" kernel, which
             # stores -||.||^2 itself — same objective as the dense path
             # restricted to the candidate set, and no exp underflow.
-            return topk_similarity(emb_a, emb_b, k=policy.topk, kernel="neg")
+            return topk_similarity(emb_a, emb_b, k=SIMILARITY_TOPK,
+                                   kernel="neg")
         return -pairwise_sq_dists(emb_a, emb_b)

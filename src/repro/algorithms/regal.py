@@ -21,7 +21,7 @@ from repro.embedding.xnetmf import xnetmf_embeddings
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.observability import span
-from repro.sketch import sketch_policy_for
+from repro.sketch import SIMILARITY_TOPK, sketch_policy_for
 from repro.util import pairwise_sq_dists
 
 __all__ = ["Regal"]
@@ -79,12 +79,11 @@ class Regal(AlignmentAlgorithm):
                     rng: np.random.Generator) -> np.ndarray:
         with span("embedding"):
             emb_a, emb_b = self.embeddings(source, target, seed=rng)
-        policy = sketch_policy_for(emb_a.shape[0], emb_b.shape[0])
-        if policy is not None:
+        if sketch_policy_for(emb_a.shape[0], emb_b.shape[0]) is not None:
             # Sparse-first: REGAL's own k-d-tree extraction (Eq. 10
             # kernel over the top-k candidates) instead of the dense
             # n x n evaluation.
-            return topk_similarity(emb_a, emb_b, k=policy.topk)
+            return topk_similarity(emb_a, emb_b, k=SIMILARITY_TOPK)
         return np.exp(-pairwise_sq_dists(emb_a, emb_b))
 
     def topk_similarity(self, source: Graph, target: Graph, k: int = 10,

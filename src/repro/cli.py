@@ -40,7 +40,7 @@ __all__ = ["main", "build_parser"]
 
 def _add_sketch_arguments(parser: argparse.ArgumentParser) -> None:
     """Sketched-kernel knobs, shared by ``align`` and ``experiment``."""
-    from repro.sketch import SKETCH_METHODS, SketchPolicy
+    from repro.sketch import SketchPolicy
 
     parser.add_argument("--sketch", action="store_true",
                         help="above --sketch-threshold nodes, use "
@@ -52,17 +52,6 @@ def _add_sketch_arguments(parser: argparse.ArgumentParser) -> None:
                         default=SketchPolicy.threshold, metavar="N",
                         help="graph size above which sketching applies "
                              f"(default {SketchPolicy.threshold})")
-    parser.add_argument("--sketch-rank", type=int, default=0, metavar="R",
-                        help="sketch rank (default 0 = each consumer's "
-                             "natural rank)")
-    parser.add_argument("--sketch-method", default="rsvd",
-                        choices=list(SKETCH_METHODS),
-                        help="randomized SVD (default) or Nyström "
-                             "landmarks for explicit kernels")
-    parser.add_argument("--similarity-topk", type=int, default=10,
-                        metavar="K",
-                        help="candidates kept per node by the sparse "
-                             "similarity stage (default 10)")
 
 
 def _sketch_policy_from_args(args):
@@ -70,10 +59,7 @@ def _sketch_policy_from_args(args):
     if not getattr(args, "sketch", False):
         return None
     from repro.sketch import SketchPolicy
-    return SketchPolicy(threshold=args.sketch_threshold,
-                        rank=args.sketch_rank,
-                        topk=args.similarity_topk,
-                        method=args.sketch_method)
+    return SketchPolicy(threshold=args.sketch_threshold)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,9 +376,6 @@ def _cmd_experiment(args, out) -> int:
         stats_resamples=args.stats_resamples,
         sketch=args.sketch,
         sketch_threshold=args.sketch_threshold,
-        sketch_rank=args.sketch_rank,
-        sketch_method=args.sketch_method,
-        similarity_topk=args.similarity_topk,
     )
     table = run_experiment(config, {args.dataset: graph},
                            journal=args.journal)

@@ -12,9 +12,11 @@ This is the exact dense small-window variant, suitable for the benchmark's
 graph sizes.  Above an active sketch policy's threshold
 (:mod:`repro.sketch`) the same matrix is factorized *blockwise*: row
 blocks of the log-PMI matrix are streamed into a randomized SVD
-(:mod:`repro.spectral.sketch`), so peak memory stays ``O(block * n)``
-instead of the dense ``O(n^2)`` — the entries of ``M`` are computed
-exactly either way; only the SVD is randomized.
+(:mod:`repro.spectral.sketch`) of rank ``d`` with the fixed
+:data:`~repro.sketch.OVERSAMPLING` and :data:`~repro.sketch.POWER_ITERS`,
+so peak memory stays ``O(block * n)`` instead of the dense ``O(n^2)`` —
+the entries of ``M`` are computed exactly either way; only the SVD is
+randomized.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.cache import cached_artifact
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.observability import add_counter
-from repro.sketch import SketchPolicy, sketch_policy_for
+from repro.sketch import OVERSAMPLING, POWER_ITERS, sketch_policy_for
 from repro.spectral.sketch import randomized_svd, sketch_seed
 
 __all__ = ["netmf_embeddings"]
@@ -37,13 +39,13 @@ _BLOCK_ELEMENTS = 8_000_000
 
 
 def _sketched_netmf(graph: Graph, n: int, d: int, window: int,
-                    negative: float, policy: SketchPolicy) -> np.ndarray:
+                    negative: float) -> np.ndarray:
     """Blockwise-streamed randomized factorization of the NetMF matrix.
 
     ``M`` is symmetric (``A`` is), so the randomized SVD's adjoint pass
     reuses the same block product.  Every pass recomputes the blocks —
-    memory is the scaling wall here, not FLOPs — so the pass count
-    (``2 + 2 * power_iters``) is the knob trading accuracy for time.
+    memory is the scaling wall here, not FLOPs — so a factorization
+    costs ``2 + 2 * POWER_ITERS`` passes.
     """
     adj = sparse.csr_matrix(graph.adjacency())
     deg = np.asarray(adj.sum(axis=1)).ravel()
@@ -75,19 +77,17 @@ def _sketched_netmf(graph: Graph, n: int, d: int, window: int,
             out[lo:hi] = m_log_rows(lo, hi) @ x
         return out
 
-    rank = policy.effective_rank(d)
     rng = np.random.default_rng(sketch_seed(
         graph.content_digest(), artifact="netmf_embeddings",
         dim=d, window=int(window), negative=float(negative),
-        rank=rank, oversampling=int(policy.oversampling),
-        power_iters=int(policy.power_iters),
+        rank=d, oversampling=OVERSAMPLING, power_iters=POWER_ITERS,
     ))
     add_counter("sketched_kernels")
-    add_counter("sketch_rank", rank)
+    add_counter("sketch_rank", d)
     u, s, _vt = randomized_svd(
-        matmat, (n, n), rank,
-        oversampling=policy.oversampling,
-        power_iters=policy.power_iters,
+        matmat, (n, n), d,
+        oversampling=OVERSAMPLING,
+        power_iters=POWER_ITERS,
         rng=rng, rmatmat=matmat,  # M is symmetric
     )
     return u[:, :d] * np.sqrt(s[:d])[np.newaxis, :]
@@ -112,22 +112,20 @@ def netmf_embeddings(
 
     # Above the sketch threshold the randomized blockwise factorization
     # takes over; its parameters join the cache key so exact and sketched
-    # embeddings never collide (the exact key is unchanged).  The method
-    # is always "rsvd": Nyström landmarks cannot represent the implicit
-    # log-transformed matrix.
-    policy = sketch_policy_for(n)
+    # embeddings never collide (the exact key is unchanged).  "method"
+    # stays in the key so sketched entries keep their earlier keys.
     params = {"dim": d, "window": int(window), "negative": float(negative)}
-    if policy is not None:
+    if sketch_policy_for(n) is not None:
         params["sketch"] = {
             "method": "rsvd",
-            "rank": policy.effective_rank(d),
-            "oversampling": int(policy.oversampling),
-            "power_iters": int(policy.power_iters),
+            "rank": d,
+            "oversampling": OVERSAMPLING,
+            "power_iters": POWER_ITERS,
         }
         return cached_artifact(
             graph, "netmf_embeddings",
             lambda: _sketched_netmf(graph, n, d, int(window),
-                                    float(negative), policy),
+                                    float(negative)),
             params=params,
         )
 

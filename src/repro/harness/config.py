@@ -17,7 +17,7 @@ from repro.context import RunContext
 from repro.exceptions import ExperimentError
 from repro.harness.budget import CellBudget
 from repro.harness.retry import RetryPolicy
-from repro.sketch import SKETCH_METHODS, SketchPolicy
+from repro.sketch import SketchPolicy
 
 __all__ = ["Profile", "PROFILES", "active_profile", "ExperimentConfig"]
 
@@ -113,14 +113,14 @@ class ExperimentConfig:
     cell outcomes (a sanitized-and-degraded cell becomes a failed one), so
     it participates in the fingerprint when enabled.
 
-    The ``sketch*`` / ``similarity_topk`` knobs opt cells into the
-    randomized kernel path (:mod:`repro.sketch`): below
-    ``sketch_threshold`` nothing changes (runs are bit-identical with the
-    knob on or off), above it sketched bases and sparse top-k similarity
-    replace computations that would not fit in memory anyway.  Like the
-    execution knobs they stay out of the journal fingerprint — see
-    DESIGN.md for why that boundary is drawn at the threshold — while
-    per-cell provenance is carried by trace counters
+    ``sketch`` and ``sketch_threshold`` opt cells into the randomized
+    kernel path (:mod:`repro.sketch`): below ``sketch_threshold`` nothing
+    changes (runs are bit-identical with the knob on or off), above it
+    sketched bases and sparse top-k similarity replace computations that
+    would not fit in memory anyway.  Like the execution knobs they stay
+    out of the journal fingerprint — see DESIGN.md for why that boundary
+    is drawn at the threshold — while per-cell provenance is carried by
+    trace counters
     (``sketched_kernels``, ``sketch_rank``, ``similarity_topk``,
     ``dense_bypass``) and diagnostics instead.
     """
@@ -150,24 +150,15 @@ class ExperimentConfig:
     # journal fingerprint; the stats journal side-car carries its own.
     stats: bool = False
     stats_resamples: int = 2000
-    # Sketched-kernel opt-in (repro.sketch).  sketch_rank=0 lets each
-    # consumer pick its own rank (the eigens' k, the embedding's dim).
+    # Sketched-kernel opt-in (repro.sketch).
     sketch: bool = False
     sketch_threshold: int = SketchPolicy.threshold
-    sketch_rank: int = 0
-    sketch_method: str = "rsvd"
-    similarity_topk: int = 10
 
     def sketch_policy(self) -> Optional[SketchPolicy]:
         """The :class:`SketchPolicy` for cells, or ``None`` when off."""
         if not self.sketch:
             return None
-        return SketchPolicy(
-            threshold=int(self.sketch_threshold),
-            rank=int(self.sketch_rank),
-            topk=int(self.similarity_topk),
-            method=self.sketch_method,
-        )
+        return SketchPolicy(threshold=int(self.sketch_threshold))
 
     def run_context(self) -> RunContext:
         """The :class:`~repro.context.RunContext` every cell runs under.
@@ -211,13 +202,8 @@ class ExperimentConfig:
                 f"lease_timeout_seconds must be positive, "
                 f"got {self.lease_timeout_seconds}"
             )
-        if self.sketch_method not in SKETCH_METHODS:
-            raise ExperimentError(
-                f"sketch_method must be one of {SKETCH_METHODS}, "
-                f"got {self.sketch_method!r}"
-            )
         if self.sketch:
-            # Delegates range checks (threshold/rank/topk) to the policy.
+            # Delegates the threshold's range check to the policy.
             self.sketch_policy()
         for level in self.noise_levels:
             if not 0.0 <= level < 1.0:

@@ -57,7 +57,6 @@ KNOWN_COUNTERS = {
     "sketched_kernels":
         "spectral/embedding bases computed via randomized sketches",
     "sketch_rank": "total rank of the sketched bases computed",
-    "nystrom_landmarks": "landmark columns sampled by Nyström sketches",
     "similarity_topk": "per-row candidate budget of sparse top-k similarity",
     "assignment_densified":
         "sparse similarity matrices densified by an assignment back-end",

@@ -3,10 +3,17 @@
 The eigendecomposition and the dense ``n x n`` similarity matrix are the
 two scaling walls the paper's §7 time/memory sweeps expose.  Above a size
 threshold this module's policy switches the spectral/embedding substrate
-to *sketched* kernels (randomized SVD / Nyström,
-:mod:`repro.spectral.sketch`) and the similarity stage to a *sparse*
-top-k representation (:mod:`repro.embedding.topk`), which together keep
-peak memory linear in the graph size.
+to *sketched* kernels (randomized SVD, :mod:`repro.spectral.sketch`) and
+the similarity stage to a *sparse* top-k representation
+(:mod:`repro.embedding.topk`), which together keep peak memory linear in
+the graph size.
+
+The policy is one number, its threshold.  Everything else a sketch needs
+is fixed: each consumer sketches at its natural rank (its ``k``
+eigenpairs or ``dim`` embedding columns) with :data:`OVERSAMPLING` extra
+probe columns and :data:`POWER_ITERS` subspace iterations (the spectral
+consumer raises both to its own floors), and the sparse similarity stage
+keeps :data:`SIMILARITY_TOPK` candidates per source row.
 
 The policy is the ``sketch`` field of the current
 :class:`~repro.context.RunContext`: the harness runs each cell under the
@@ -32,87 +39,48 @@ from repro.exceptions import ExperimentError
 __all__ = [
     "SketchPolicy",
     "sketching",
-    "active_sketch_policy",
     "sketch_policy_for",
-    "SKETCH_METHODS",
+    "OVERSAMPLING",
+    "POWER_ITERS",
+    "SIMILARITY_TOPK",
 ]
-
-SKETCH_METHODS = ("rsvd", "nystrom")
 
 # Default size threshold: below this the exact dense/Lanczos path is both
 # fast and memory-safe, so sketching would only add approximation error.
 DEFAULT_THRESHOLD = 4096
 
+# Extra random probe columns beyond the rank (Halko et al. recommend
+# 5-10; they cost almost nothing and buy accuracy).
+OVERSAMPLING = 8
+
+# Subspace/power iterations sharpening the range estimate; each costs
+# two extra operator passes.
+POWER_ITERS = 2
+
+# Candidates kept per source row by the sparse similarity stage.
+SIMILARITY_TOPK = 10
+
 
 @dataclass(frozen=True)
 class SketchPolicy:
-    """How (and above what size) to sketch.
+    """Above what size to sketch.
 
     Attributes
     ----------
     threshold:
         Sketching applies only when an input dimension *exceeds* this.
-    rank:
-        Sketch rank; 0 means "the consumer's natural rank" (its ``k``
-        eigenpairs or ``dim`` embedding columns).
-    oversampling:
-        Extra random probe columns beyond the rank (Halko et al.
-        recommend 5-10; they cost almost nothing and buy accuracy).
-    power_iters:
-        Subspace/power iterations sharpening the range estimate; each
-        costs two extra operator passes.
-    topk:
-        Candidates kept per source row by the sparse similarity stage.
-    method:
-        ``"rsvd"`` (randomized SVD, the default) or ``"nystrom"``
-        (landmark approximation; eigenpair consumers only — implicit
-        operators such as the streamed NetMF matrix always use rsvd).
     """
 
     threshold: int = DEFAULT_THRESHOLD
-    rank: int = 0
-    oversampling: int = 8
-    power_iters: int = 2
-    topk: int = 10
-    method: str = "rsvd"
 
     def __post_init__(self):
         if self.threshold < 1:
             raise ExperimentError(
                 f"sketch threshold must be >= 1, got {self.threshold}")
-        if self.rank < 0:
-            raise ExperimentError(
-                f"sketch rank must be >= 0 (0 = consumer default), "
-                f"got {self.rank}")
-        if self.oversampling < 1:
-            raise ExperimentError(
-                f"sketch oversampling must be >= 1, got {self.oversampling}")
-        if self.power_iters < 0:
-            raise ExperimentError(
-                f"sketch power_iters must be >= 0, got {self.power_iters}")
-        if self.topk < 1:
-            raise ExperimentError(
-                f"similarity topk must be >= 1, got {self.topk}")
-        if self.method not in SKETCH_METHODS:
-            raise ExperimentError(
-                f"unknown sketch method {self.method!r}; "
-                f"choose from {SKETCH_METHODS}")
 
     def applies_to(self, *sizes: int) -> bool:
         """Whether any of the given input sizes crosses the threshold."""
         return bool(sizes) and max(sizes) > self.threshold
-
-    def effective_rank(self, default: int) -> int:
-        """The sketch rank to use for a consumer whose natural rank is
-        ``default`` — never below it, so consumers always get the
-        columns they asked for."""
-        rank = self.rank if self.rank > 0 else int(default)
-        return max(rank, int(default))
-
-
-def active_sketch_policy() -> Optional[SketchPolicy]:
-    """The policy of the innermost open :func:`sketching` scope."""
-    return current_context().sketch
 
 
 def sketching(policy: Optional[SketchPolicy]) -> ContextManager[RunContext]:

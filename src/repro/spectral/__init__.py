@@ -17,7 +17,6 @@ from repro.spectral.netlsd import (
     netlsd_signature,
 )
 from repro.spectral.sketch import (
-    nystrom_eigenpairs,
     randomized_eigh,
     randomized_svd,
     sketch_seed,
@@ -32,6 +31,5 @@ __all__ = [
     "default_timescales",
     "randomized_svd",
     "randomized_eigh",
-    "nystrom_eigenpairs",
     "sketch_seed",
 ]

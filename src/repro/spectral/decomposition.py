@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, eigsh
 
@@ -24,11 +23,7 @@ from repro.observability import add_counter
 from repro.graphs.graph import Graph
 from repro.graphs.matrices import normalized_laplacian
 from repro.sketch import sketch_policy_for
-from repro.spectral.sketch import (
-    nystrom_eigenpairs,
-    randomized_eigh,
-    sketch_seed,
-)
+from repro.spectral.sketch import randomized_eigh, sketch_seed
 
 __all__ = ["laplacian_eigenpairs", "fix_signs", "heat_kernel_diagonals"]
 
@@ -39,14 +34,15 @@ _DENSE_CUTOFF = 600
 # treated as tied when fixing signs (see fix_signs).
 _TIE_RTOL = 1e-12
 
-# Floors on the sketch parameters for the *spectral* consumer.  The
-# companion kernel 2I - L has a nearly flat top spectrum (its dominant
-# eigenvalues sit just under 2 while the bulk sits near 1), so the range
-# finder needs more subspace iterations than the policy's general-purpose
-# default to separate them — and unlike the NetMF passes, a Laplacian
-# matvec is a cheap sparse product, so the extra passes are nearly free.
-_SPECTRAL_MIN_POWER_ITERS = 8
-_SPECTRAL_MIN_OVERSAMPLING = 16
+# Sketch parameters of the *spectral* consumer, raised above the general
+# defaults (repro.sketch.OVERSAMPLING, POWER_ITERS).  The companion kernel
+# 2I - L has a nearly flat top spectrum (its dominant eigenvalues sit
+# just under 2 while the bulk sits near 1), so the range finder needs
+# more subspace iterations to separate them — and unlike the NetMF
+# passes, a Laplacian matvec is a cheap sparse product, so the extra
+# passes are nearly free.
+_SPECTRAL_POWER_ITERS = 8
+_SPECTRAL_OVERSAMPLING = 16
 
 # Floor on the Ritz-space width.  Benchmark-graph spectra cluster near
 # the bottom (ring and powerlaw families have no gap at small k), so a
@@ -100,21 +96,18 @@ def laplacian_eigenpairs(graph: Graph, k: int | None = None) -> Tuple[np.ndarray
     # threshold and the dense cutoff; the sketch parameters enter the
     # cache key so exact and sketched entries can never collide (the
     # exact key stays exactly as before, preserving old entries).
-    policy = (sketch_policy_for(n) if effective_k is not None
-              and n > _DENSE_CUTOFF else None)
+    sketched = (effective_k is not None and n > _DENSE_CUTOFF
+                and sketch_policy_for(n) is not None)
     params: dict = {"k": effective_k}
-    if policy is not None:
-        rank = max(policy.effective_rank(effective_k),
-                   min(_SPECTRAL_MIN_RANK, n // 4))
-        # The key records the *effective* parameters (after the spectral
-        # floors), so it describes exactly what the producer computes.
+    if sketched:
+        # The key records the parameters the producer computes with.
+        # "method" is kept (randomized SVD is the only one) so sketched
+        # keys and seeds stay those of earlier releases.
         params["sketch"] = {
-            "method": policy.method,
-            "rank": rank,
-            "oversampling": max(int(policy.oversampling),
-                                _SPECTRAL_MIN_OVERSAMPLING),
-            "power_iters": max(int(policy.power_iters),
-                               _SPECTRAL_MIN_POWER_ITERS),
+            "method": "rsvd",
+            "rank": max(effective_k, min(_SPECTRAL_MIN_RANK, n // 4)),
+            "oversampling": _SPECTRAL_OVERSAMPLING,
+            "power_iters": _SPECTRAL_POWER_ITERS,
         }
 
     def produce_sketched() -> Tuple[np.ndarray, np.ndarray]:
@@ -124,21 +117,14 @@ def laplacian_eigenpairs(graph: Graph, k: int | None = None) -> Tuple[np.ndarray
         lap = normalized_laplacian(graph).tocsr()
         rng = np.random.default_rng(sketch_seed(
             graph.content_digest(), artifact="laplacian_eigenpairs",
-            **{key: params["sketch"][key] for key in sorted(params["sketch"])},
-            k=effective_k,
+            **params["sketch"], k=effective_k,
         ))
-        sketch_rank = params["sketch"]["rank"]
         # Sketch the PSD companion K = 2I - L: its *largest* eigenpairs
         # are L's smallest, with eigenvalue map λ_L = 2 - λ_K.
-        if policy.method == "nystrom":
-            kernel = (2.0 * sparse.identity(n, format="csr") - lap)
-            k_vals, k_vecs = nystrom_eigenpairs(kernel, rank=sketch_rank,
-                                                rng=rng)
-        else:
-            k_vals, k_vecs = randomized_eigh(
-                lambda block: 2.0 * block - lap @ block, n, sketch_rank,
-                oversampling=params["sketch"]["oversampling"],
-                power_iters=params["sketch"]["power_iters"], rng=rng)
+        k_vals, k_vecs = randomized_eigh(
+            lambda block: 2.0 * block - lap @ block, n,
+            params["sketch"]["rank"], oversampling=_SPECTRAL_OVERSAMPLING,
+            power_iters=_SPECTRAL_POWER_ITERS, rng=rng)
         vals = 2.0 - k_vals  # descending λ_K -> ascending λ_L
         order = np.argsort(vals)[:effective_k]
         return vals[order], fix_signs(k_vecs[:, order])
@@ -154,9 +140,17 @@ def laplacian_eigenpairs(graph: Graph, k: int | None = None) -> Tuple[np.ndarray
                 vals, vecs = vals[:effective_k], vecs[:, :effective_k]
         else:
             lap = normalized_laplacian(graph).tocsc()
+            # ARPACK's default start vector comes from per-process random
+            # state; one seeded by the graph keeps the solve a pure
+            # function of (graph, k), as a cached producer must be.
+            v0 = np.random.default_rng(sketch_seed(
+                graph.content_digest(), artifact="laplacian_eigenpairs",
+                k=effective_k,
+            )).uniform(-1.0, 1.0, n)
             # sigma=0 shift-invert targets the smallest eigenvalues reliably.
             try:
-                vals, vecs = eigsh(lap, k=effective_k, sigma=-1e-6, which="LM")
+                vals, vecs = eigsh(lap, k=effective_k, sigma=-1e-6,
+                                   which="LM", v0=v0)
             except (ArpackError, RuntimeError, np.linalg.LinAlgError) as exc:
                 # Lanczos breakdown / no convergence, or a singular
                 # shift-invert factorization (splu raises RuntimeError or
@@ -180,7 +174,7 @@ def laplacian_eigenpairs(graph: Graph, k: int | None = None) -> Tuple[np.ndarray
 
     return cached_artifact(
         graph, "laplacian_eigenpairs",
-        produce_sketched if policy is not None else produce,
+        produce_sketched if sketched else produce,
         params=params)
 
 

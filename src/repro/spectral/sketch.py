@@ -1,14 +1,10 @@
 """Randomized low-rank decompositions (Halko, Martinsson & Tropp 2011).
 
-Two sketches back the scaled-up spectral path:
-
-* :func:`randomized_svd` / :func:`randomized_eigh` — Gaussian range
-  finder with power iterations.  The operator is consumed only through
-  block products (``matmat``), so callers can stream implicitly-defined
-  matrices (the blockwise NetMF log-PMI matrix) without materializing
-  them.
-* :func:`nystrom_eigenpairs` — the landmark-column approximation
-  ``K ≈ C W⁻¹ Cᵀ`` for explicitly sparse PSD kernels.
+:func:`randomized_svd` and :func:`randomized_eigh` back the scaled-up
+spectral path: a Gaussian range finder with power iterations.  The
+operator is consumed only through block products (``matmat``), so
+callers can stream implicitly-defined matrices (the blockwise NetMF
+log-PMI matrix) without materializing them.
 
 The smallest Laplacian eigenpairs are reached through the PSD companion
 kernel ``K = 2I - L`` (the normalized Laplacian's spectrum lies in
@@ -32,14 +28,13 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import AlgorithmError
-from repro.observability import add_counter
+from repro.sketch import OVERSAMPLING, POWER_ITERS
 
 __all__ = [
     "sketch_seed",
     "randomized_range_finder",
     "randomized_svd",
     "randomized_eigh",
-    "nystrom_eigenpairs",
 ]
 
 MatMat = Callable[[np.ndarray], np.ndarray]
@@ -93,8 +88,8 @@ def randomized_svd(
     operator: Union[np.ndarray, sparse.spmatrix, MatMat],
     shape: Tuple[int, int],
     rank: int,
-    oversampling: int = 8,
-    power_iters: int = 2,
+    oversampling: int = OVERSAMPLING,
+    power_iters: int = POWER_ITERS,
     rng: Optional[np.random.Generator] = None,
     rmatmat: Optional[MatMat] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,8 +126,8 @@ def randomized_eigh(
     operator: Union[np.ndarray, sparse.spmatrix, MatMat],
     n: int,
     rank: int,
-    oversampling: int = 8,
-    power_iters: int = 2,
+    oversampling: int = OVERSAMPLING,
+    power_iters: int = POWER_ITERS,
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Top-``rank`` eigenpairs of a symmetric PSD ``(n, n)`` operator.
@@ -153,51 +148,3 @@ def randomized_eigh(
     vals, vecs = np.linalg.eigh(small)
     order = np.argsort(vals)[::-1][:rank]
     return vals[order], basis @ vecs[:, order]
-
-
-def nystrom_eigenpairs(
-    kernel: Union[np.ndarray, sparse.spmatrix],
-    rank: int,
-    landmarks: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    rcond: float = 1e-10,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-``rank`` eigenpairs of a PSD kernel via Nyström landmarks.
-
-    Samples ``landmarks`` columns ``C = K[:, idx]`` uniformly without
-    replacement, forms ``W = K[idx][:, idx]``, and eigendecomposes the
-    factorization ``K ≈ (C W^{-1/2})(C W^{-1/2})ᵀ`` through an SVD of
-    ``C W^{-1/2}``.  Eigenvalues return in **descending** order with
-    orthonormal eigenvectors.  ``landmarks`` defaults to ``4*rank + 32``
-    (clipped to ``n``); near-null landmark directions below ``rcond``
-    times the top one are dropped rather than inverted.
-    """
-    n = kernel.shape[0]
-    if kernel.shape[0] != kernel.shape[1]:
-        raise AlgorithmError(
-            f"Nyström needs a square kernel, got shape {kernel.shape}")
-    if rank < 1:
-        raise AlgorithmError(f"sketch rank must be >= 1, got {rank}")
-    rank = min(rank, n)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    count = min(n, int(landmarks) if landmarks else 4 * rank + 32)
-    idx = np.sort(rng.choice(n, size=count, replace=False))
-
-    if sparse.issparse(kernel):
-        columns = np.asarray(kernel.tocsc()[:, idx].todense())
-    else:
-        columns = np.asarray(kernel)[:, idx]
-    add_counter("nystrom_landmarks", count)
-    w = columns[idx]  # = K[idx][:, idx]: the columns already follow idx
-    w = (w + w.T) / 2.0
-    w_vals, w_vecs = np.linalg.eigh(w)
-    keep = w_vals > rcond * max(float(w_vals.max()), 1e-300)
-    if not np.any(keep):
-        raise AlgorithmError(
-            "Nyström landmark block is numerically null; the kernel "
-            "carries no signal at these landmarks")
-    inv_sqrt = w_vecs[:, keep] * (w_vals[keep] ** -0.5)[np.newaxis, :]
-    mapped = columns @ inv_sqrt  # (n, kept); K ≈ mapped mappedᵀ
-    q, svals, _vt = np.linalg.svd(mapped, full_matrices=False)
-    rank = min(rank, svals.shape[0])
-    return (svals[:rank] ** 2), q[:, :rank]

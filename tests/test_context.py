@@ -70,7 +70,7 @@ class TestBudgetBoundary:
 class TestValue:
     def test_survives_a_pickle_round_trip(self):
         context = RunContext(numerics="strict",
-                             sketch=SketchPolicy(threshold=100, topk=5),
+                             sketch=SketchPolicy(threshold=100),
                              trace=True, cache=True)
         assert pickle.loads(pickle.dumps(context)) == context
 
@@ -85,13 +85,9 @@ class TestConfigMapping:
     def test_config_fields_map_onto_the_context(self, tmp_path):
         config = ExperimentConfig(
             name="ctx", algorithms=["isorank"], strict_numerics=True,
-            sketch=True, sketch_threshold=100, sketch_rank=3,
-            sketch_method="nystrom", similarity_topk=7,
-            cache_dir=str(tmp_path))
+            sketch=True, sketch_threshold=100, cache_dir=str(tmp_path))
         assert config.run_context() == RunContext(
-            numerics="strict",
-            sketch=SketchPolicy(threshold=100, rank=3, topk=7,
-                                method="nystrom"),
+            numerics="strict", sketch=SketchPolicy(threshold=100),
             trace=False, cache=True)
         plain = ExperimentConfig(name="ctx", algorithms=["isorank"])
         assert plain.run_context() == RunContext()

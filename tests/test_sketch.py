@@ -15,19 +15,22 @@ Three contracts are pinned here:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from repro.context import current_context
 from repro.exceptions import AlgorithmError, ExperimentError
 from repro.graphs import Graph, powerlaw_cluster_graph
 from repro.sketch import (
+    OVERSAMPLING,
+    POWER_ITERS,
+    SIMILARITY_TOPK,
     SketchPolicy,
-    active_sketch_policy,
     sketch_policy_for,
     sketching,
 )
 from repro.spectral import (
     laplacian_eigenpairs,
-    nystrom_eigenpairs,
     randomized_eigh,
     randomized_svd,
     sketch_seed,
@@ -69,19 +72,53 @@ def _subspace_cosines(a, b):
     return np.linalg.svd(qa.T @ qb, compute_uv=False)
 
 
+def _explicit_csr(dense):
+    """CSR storing every entry of ``dense`` explicitly, zeros included."""
+    n, k = dense.shape
+    return sparse.csr_matrix(
+        (dense.ravel().astype(float), np.tile(np.arange(k), n),
+         np.arange(0, n * k + 1, k)), shape=(n, k))
+
+
+@st.composite
+def full_patterns(draw):
+    """Dense n x k similarities (1 <= n, k <= 8): integers in [-3, 3]
+    (zeros, negatives and ties), or a shuffled run of distinct integers
+    around zero (tie-free)."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        low = -(n * k // 2)
+        values = draw(st.permutations(range(low, low + n * k)))
+    else:
+        values = draw(st.lists(st.integers(-3, 3), min_size=n * k,
+                               max_size=n * k))
+    return np.array(values, dtype=float).reshape(n, k)
+
+
+@st.composite
+def thin_square_patterns(draw):
+    """Square n x n candidate sets (4 <= n <= 12) of density <= 1/4 with
+    a full diagonal, carrying integers in [-3, 3] (explicit zeros too)."""
+    n = draw(st.integers(4, 12))
+    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
+    extra = draw(st.lists(st.sampled_from(off_diagonal), unique=True,
+                          max_size=n * n // 4 - n))
+    cells = [(i, i) for i in range(n)] + extra
+    values = draw(st.lists(st.integers(-3, 3), min_size=len(cells),
+                           max_size=len(cells)))
+    rows, cols = (np.array(axis) for axis in zip(*cells))
+    return sparse.coo_matrix((np.array(values, dtype=float), (rows, cols)),
+                             shape=(n, n)).tocsr()
+
+
 class TestSketchPolicy:
     def test_defaults_validate(self):
-        policy = SketchPolicy()
-        assert policy.threshold == 4096
-        assert policy.method == "rsvd"
+        assert SketchPolicy().threshold == 4096
+        # Sketched cache keys and probe seeds are derived from these.
+        assert (OVERSAMPLING, POWER_ITERS, SIMILARITY_TOPK) == (8, 2, 10)
 
     @pytest.mark.parametrize("kwargs", [
         {"threshold": 0},
-        {"rank": -1},
-        {"oversampling": 0},
-        {"power_iters": -1},
-        {"topk": 0},
-        {"method": "exact"},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ExperimentError):
@@ -94,21 +131,16 @@ class TestSketchPolicy:
         assert policy.applies_to(50, 101)
         assert not policy.applies_to()
 
-    def test_effective_rank_never_below_consumer_default(self):
-        assert SketchPolicy(rank=0).effective_rank(20) == 20
-        assert SketchPolicy(rank=64).effective_rank(20) == 64
-        assert SketchPolicy(rank=8).effective_rank(20) == 20
-
     def test_scope_nesting_and_shadowing(self):
-        assert active_sketch_policy() is None
+        assert current_context().sketch is None
         outer = SketchPolicy(threshold=10)
         with sketching(outer):
-            assert active_sketch_policy() is outer
+            assert current_context().sketch is outer
             with sketching(None):  # explicit opt-out shadows the outer
-                assert active_sketch_policy() is None
+                assert current_context().sketch is None
                 assert sketch_policy_for(10 ** 9) is None
-            assert active_sketch_policy() is outer
-        assert active_sketch_policy() is None
+            assert current_context().sketch is outer
+        assert current_context().sketch is None
 
     def test_policy_for_asks_scope_and_size_together(self):
         assert sketch_policy_for(10 ** 9) is None  # no scope open
@@ -145,13 +177,6 @@ class TestRandomizedDecompositions:
         assert np.allclose(got_vals, vals[:8], atol=1e-10)
         assert _subspace_cosines(q[:, :8], got_vecs).min() > 1 - 1e-9
 
-    def test_nystrom_exact_on_decaying_spectrum(self):
-        m, vals, q = _decaying_psd()
-        got_vals, got_vecs = nystrom_eigenpairs(m, 8,
-                                                rng=np.random.default_rng(1))
-        assert np.allclose(got_vals, vals[:8], atol=1e-6)
-        assert _subspace_cosines(q[:, :8], got_vecs).min() > 1 - 1e-6
-
     def test_same_seed_same_result(self):
         m, _, _ = _decaying_psd()
         first = randomized_svd(m, m.shape, 6, rng=np.random.default_rng(3))
@@ -170,10 +195,6 @@ class TestRandomizedDecompositions:
                                     rng=np.random.default_rng(0),
                                     rmatmat=matmat)
         assert np.allclose(s, vals[:5], atol=1e-9)
-
-    def test_nystrom_rejects_rectangular(self):
-        with pytest.raises(AlgorithmError):
-            nystrom_eigenpairs(np.ones((4, 5)), 2)
 
 
 class TestSketchedEigenpairs:
@@ -202,17 +223,18 @@ class TestSketchedEigenpairs:
         assert np.array_equal(exact[0], sketched_off[0])
         assert np.array_equal(exact[1], sketched_off[1])
 
-    def test_nystrom_method_selected_by_policy(self):
-        from repro.observability import capture_trace, span, tracing
-        with sketching(SketchPolicy(threshold=500, method="nystrom")):
-            with tracing(True), capture_trace() as trace:
-                with span("test"):
-                    vals, vecs = laplacian_eigenpairs(self.GRAPH, k=4)
-        assert vals.shape == (4,)
-        assert vecs.shape == (self.GRAPH.num_nodes, 4)
-        from repro.observability import counter_totals
-        totals = counter_totals(trace.to_payload())
-        assert totals.get("nystrom_landmarks", 0) > 0
+    def test_cache_key_holds_the_fixed_parameters(self):
+        """A sketched entry's key is the one it had when the policy
+        carried rank/method/oversampling knobs, so warm disk caches stay
+        valid."""
+        from repro.cache import artifact_cache, caching, canonicalize_params
+        with caching(True), artifact_cache() as cache, \
+                sketching(self.POLICY):
+            laplacian_eigenpairs(self.GRAPH, k=6)
+        params = {"k": 6, "sketch": {"method": "rsvd", "rank": 128,
+                                     "oversampling": 16, "power_iters": 8}}
+        assert (self.GRAPH.content_digest(), "laplacian_eigenpairs",
+                canonicalize_params(params)) in cache
 
     def test_cache_keys_never_collide(self):
         """Exact and sketched eigenpairs of the same graph coexist in one
@@ -247,6 +269,19 @@ class TestSketchedNetMF:
         # rotates freely inside near-degenerate trailing directions.
         cos = _subspace_cosines(exact[:, :16], sketched[:, :16])
         assert np.median(cos) > 0.95
+
+    def test_cache_key_holds_the_fixed_parameters(self):
+        from repro.cache import artifact_cache, caching, canonicalize_params
+        from repro.embedding.netmf import netmf_embeddings
+        graph = powerlaw_cluster_graph(150, 3, 0.2, seed=9)
+        with caching(True), artifact_cache() as cache, \
+                sketching(SketchPolicy(threshold=100)):
+            netmf_embeddings(graph, dim=16, window=4)
+        params = {"dim": 16, "window": 4, "negative": 1.0,
+                  "sketch": {"method": "rsvd", "rank": 16,
+                             "oversampling": 8, "power_iters": 2}}
+        assert (graph.content_digest(), "netmf_embeddings",
+                canonicalize_params(params)) in cache
 
     def test_below_threshold_bit_identical(self):
         from repro.embedding.netmf import netmf_embeddings
@@ -317,23 +352,57 @@ class TestSparseAssignment:
         totals = counter_totals(trace.to_payload())
         assert totals.get("assignment_densified") == 1
 
-    def test_sparse_extractors_match_dense_on_full_pattern(self):
-        from repro.assignment.greedy import (nearest_neighbor,
-                                             nearest_neighbor_one_to_one,
-                                             sort_greedy)
-        from repro.assignment.sparse import (
-            sparse_nearest_neighbor,
-            sparse_nearest_neighbor_one_to_one,
-            sparse_sort_greedy,
-        )
-        rng = np.random.default_rng(11)
-        dense = rng.random((10, 12)) + 0.1  # all-positive, no zeros
-        sp = sparse.csr_matrix(dense)
-        assert np.array_equal(sparse_nearest_neighbor(sp),
-                              nearest_neighbor(dense))
-        assert np.array_equal(sparse_nearest_neighbor_one_to_one(sp),
-                              nearest_neighbor_one_to_one(dense))
-        assert np.array_equal(sparse_sort_greedy(sp), sort_greedy(dense))
+    @given(full_patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_extractors_match_dense_on_full_pattern(self, dense):
+        """With every entry stored, the sparse extractors see what the
+        dense ones see: NN and JV reach the dense objective on every
+        draw, SG and NN-1to1 return the dense mapping on tie-free ones."""
+        from repro.assignment import extract_alignment
+        sp = _explicit_csr(dense)
+        assert sp.nnz == dense.size
+        tie_free = np.unique(dense).size == dense.size
+
+        def objective(mapping):
+            matched = np.flatnonzero(mapping >= 0)
+            return dense[matched, mapping[matched]].sum()
+
+        for method in ("nn", "jv", "sg", "nn-1to1"):
+            expected = extract_alignment(dense, method)
+            with sketching(SketchPolicy(threshold=1)):
+                got = extract_alignment(sp, method)
+            if method in ("nn", "jv"):
+                assert (got >= 0).sum() == (expected >= 0).sum(), method
+                assert objective(got) == objective(expected), method
+            elif tie_free:
+                assert np.array_equal(got, expected), method
+
+    @given(thin_square_patterns())
+    @settings(max_examples=150, deadline=None)
+    def test_jv_on_thin_square_pattern_matches_masked_optimum(self, sp):
+        """At density <= 1/4 JV runs LAPJVsp on the candidate set itself
+        (nothing is densified) and reaches scipy's optimum on the
+        masked matrix, explicit zeros being candidates like any other."""
+        from scipy.optimize import linear_sum_assignment
+        from repro.assignment import extract_alignment
+        from repro.observability import (capture_trace, counter_totals,
+                                         span, tracing)
+        n = sp.shape[0]
+        dense = sp.toarray()
+        eligible = np.zeros((n, n), dtype=bool)
+        coo = sp.tocoo()  # stored entries; nonzero() would skip zeros
+        eligible[coo.row, coo.col] = True
+        assert eligible.sum() == sp.nnz <= n * n // 4
+        with sketching(SketchPolicy(threshold=1)), tracing(True), \
+                capture_trace() as trace:
+            with span("test"):
+                mapping = extract_alignment(sp, "jv")
+        assert counter_totals(trace.to_payload()).get(
+            "assignment_densified", 0) == 0
+        assert np.array_equal(np.sort(mapping), np.arange(n))
+        assert eligible[np.arange(n), mapping].all()
+        rows, cols = linear_sum_assignment(np.where(eligible, -dense, 1e6))
+        assert dense[np.arange(n), mapping].sum() == dense[rows, cols].sum()
 
     def test_sparse_extractors_respect_candidate_set(self):
         from repro.assignment.sparse import (
@@ -466,8 +535,6 @@ class TestHarnessIntegration:
         )
 
     def test_config_validates_sketch_knobs(self):
-        with pytest.raises(ExperimentError):
-            self._config(sketch=True, sketch_method="bogus")
         with pytest.raises(ExperimentError):
             self._config(sketch=True, sketch_threshold=0)
         assert self._config(sketch=True).sketch_policy() is not None

@@ -41,6 +41,19 @@ class TestEigenpairs:
         with pytest.raises(AlgorithmError):
             laplacian_eigenpairs(Graph(0))
 
+    def test_sparse_solve_is_a_pure_function_of_the_graph(self):
+        """ARPACK's default start vector comes from per-process random
+        state that every solve advances; the sparse path must not depend
+        on it, or a cache hit and a miss would differ in their bits."""
+        from scipy.sparse.linalg import eigsh
+        g = erdos_renyi_graph(700, 0.02, seed=0)  # above the dense cutoff
+        first = laplacian_eigenpairs(g, k=6)
+        other = normalized_laplacian(erdos_renyi_graph(650, 0.02, seed=1))
+        eigsh(other.tocsc(), k=3, sigma=-1e-6, which="LM")
+        second = laplacian_eigenpairs(g, k=6)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
+
 
 class TestFixSigns:
     def test_idempotent(self, karate_like):
