@@ -147,13 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "processes in a temporary directory (default 1 "
                           "= serial); --journal stays one file, so "
                           "results and resume are identical to a serial "
-                          "run")
-    exp.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="like --workers, but the N workers keep their "
-                          "journal shards, leases and recovery log next "
-                          "to --journal (required; mutually exclusive "
-                          "with --workers); results are identical to a "
-                          "serial run")
+                          "run, and the recovery log goes to "
+                          "<journal>.events.jsonl")
     exp.add_argument("--cache-dir", default=None, metavar="PATH",
                      help="persist cached per-graph intermediates to this "
                           "directory (crash-safe, checksum-verified; "
@@ -193,9 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute paired permutation tests + bootstrap CIs for a "
              "finished sweep journal")
     stats.add_argument("--journal", required=True, metavar="PATH",
-                       help="run journal of the finished sweep (a sharded "
-                            "sweep's base path works too: its shard "
-                            "journals are merged)")
+                       help="run journal of the finished sweep")
     stats.add_argument("--resamples", type=int, default=2000, metavar="N")
     stats.add_argument("--confidence", type=float, default=0.95)
     stats.add_argument("--alpha", type=float, default=0.05,
@@ -350,10 +343,6 @@ def _cmd_experiment(args, out) -> int:
     retry = (RetryPolicy(max_attempts=args.retries,
                          backoff_seconds=args.retry_backoff)
              if args.retries > 1 else None)
-    if args.shards > 1 and not args.journal:
-        out.write("error: --shards requires --journal (the shard journals, "
-                  "leases, and done markers live next to it)\n")
-        return 2
     config = ExperimentConfig(
         name=f"cli-{args.dataset}",
         algorithms=args.algorithms,
@@ -370,7 +359,6 @@ def _cmd_experiment(args, out) -> int:
         strict_numerics=args.strict_numerics,
         trace=args.trace,
         cache=args.cache,
-        shards=args.shards,
         cache_dir=args.cache_dir,
         stats=args.stats,
         stats_resamples=args.stats_resamples,
@@ -383,7 +371,7 @@ def _cmd_experiment(args, out) -> int:
     if args.journal:
         out.write(f"journal: {args.journal} ({len(table)} cells durable; "
                   f"rerun with the same --journal to resume)\n")
-    if args.shards > 1:
+    if args.journal and args.workers > 1:
         from repro.harness.scheduler import load_recovery_events
         recovery_events = load_recovery_events(args.journal)
         reclaims = sum(1 for e in recovery_events
@@ -444,25 +432,20 @@ def _cmd_experiment(args, out) -> int:
 
 
 def _load_finished_table(journal_path, out):
-    """A ResultTable from a plain or sharded run journal (None on error)."""
+    """A ResultTable from a finished run journal (None on error)."""
     from pathlib import Path
 
     from repro.harness import ResultTable, RunJournal
 
     path = Path(journal_path)
-    if path.exists():
-        journal = RunJournal(path)
-        try:
-            return ResultTable(journal.records)
-        finally:
-            journal.close()
-    from repro.harness.scheduler import ShardPaths, merge_shard_records
-    paths = ShardPaths(path, shards=1)
-    if paths.existing_shards():
-        return ResultTable(list(merge_shard_records(paths, None).values()))
-    out.write(f"error: no journal at {journal_path} (and no "
-              f"{journal_path}.shardNN shard journals either)\n")
-    return None
+    if not path.exists():
+        out.write(f"error: no journal at {journal_path}\n")
+        return None
+    journal = RunJournal(path)
+    try:
+        return ResultTable(journal.records)
+    finally:
+        journal.close()
 
 
 def _cmd_stats(args, out) -> int:

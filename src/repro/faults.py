@@ -49,11 +49,12 @@ Three modes target the distributed scheduler and the disk cache
   (see :func:`corrupt_random_cache_entry`) — the next reader must
   quarantine and recompute, never crash or return poisoned data.
 
-Faults injected before a fork are inherited per-process, so in a sharded
-sweep *every* worker would fire an ``on_call=1`` kill — including each
-respawned replacement, forever.  ``FaultSpec.trigger_file`` bounds this:
-when set, the fault additionally requires winning an ``O_EXCL`` create
-of that file, making it one-shot across the whole fleet.
+Faults injected before a fork are inherited per-process, so in a
+``workers`` sweep *every* worker would fire an ``on_call=1`` kill —
+including each respawned replacement, forever.
+``FaultSpec.trigger_file`` bounds this: when set, the fault additionally
+requires winning an ``O_EXCL`` create of that file, making it one-shot
+across the whole fleet.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class FaultSpec:
         ``O_EXCL`` create of this path for the fault to fire — one shot
         across every process that inherited the injection (the file is
         the claim).  Required for ``"kill_worker"``/``"stale_lease"``
-        in sharded sweeps, where respawned workers re-inherit the fault.
+        in ``workers`` sweeps, where respawned workers re-inherit the
+        fault.
     cache_dir:
         The disk-cache root the ``"corrupt_cache"`` mode corrupts
         (required for that mode, unused otherwise).
@@ -242,8 +244,8 @@ def _fire(spec: FaultSpec) -> None:
         raise ExperimentError("SIGKILL to self did not terminate")
     if spec.mode == "stale_lease":
         # Look hung without being dead: stop refreshing leases, then stall.
-        # In a sharded sweep the supervisor SIGKILLs us mid-sleep; anywhere
-        # else the stall ends as an ordinary transient failure.
+        # In a ``workers`` sweep the supervisor SIGKILLs us mid-sleep;
+        # anywhere else the stall ends as an ordinary transient failure.
         from repro.harness.scheduler import suppress_heartbeats
         suppress_heartbeats(True)
         time.sleep(spec.hang_seconds)

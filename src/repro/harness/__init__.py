@@ -13,7 +13,7 @@ a self-contained stand-in.)
 * :mod:`repro.harness.budget` — per-cell time+memory budgets (child procs),
 * :mod:`repro.harness.retry` — retry policy for transient cell failures,
 * :mod:`repro.harness.scheduler` — multi-process sweeps with lease-based
-  orphan recovery (``ExperimentConfig(workers=N)`` or ``shards=N``).
+  orphan recovery (``ExperimentConfig(workers=N)``).
 """
 
 from repro.harness.config import (

@@ -105,11 +105,11 @@ class ExperimentConfig:
     algorithms compared, the common assignment method, the noise grid, the
     repetition count, and the random seed everything derives from.
     Execution knobs (``budget``, ``retry_policy``, ``workers``,
-    ``trace``, ``cache``, ``shards``, ``cache_dir``,
-    ``lease_timeout_seconds``) change how cells run or what extra
-    telemetry they record, never what they compute — they are excluded
-    from the journal fingerprint and a ``workers=N`` (or ``shards=N``)
-    sweep yields the same records as a serial one.  ``strict_numerics`` is *not* such a knob: it changes
+    ``trace``, ``cache``, ``cache_dir``, ``lease_timeout_seconds``)
+    change how cells run or what extra telemetry they record, never what
+    they compute — they are excluded from the journal fingerprint and a
+    ``workers=N`` sweep yields the same records as a serial one.
+    ``strict_numerics`` is *not* such a knob: it changes
     cell outcomes (a sanitized-and-degraded cell becomes a failed one), so
     it participates in the fingerprint when enabled.
 
@@ -137,11 +137,10 @@ class ExperimentConfig:
     algorithm_params: Dict[str, dict] = field(default_factory=dict)
     budget: Optional[CellBudget] = None       # run cells in capped children
     retry_policy: Optional[RetryPolicy] = None  # re-attempt transient fails
-    workers: int = 1  # >1 runs the scheduler in a temp dir (journal mirrored)
+    workers: int = 1  # >1 runs the lease scheduler (repro.harness.scheduler)
     strict_numerics: bool = False  # watchdog fail-fast instead of sanitize
     trace: bool = False  # record per-cell stage traces (repro.observability)
     cache: bool = False  # share per-graph intermediates via repro.cache
-    shards: int = 1  # >1 runs the scheduler next to the journal path
     cache_dir: Optional[str] = None  # disk-backed cache (repro.cache_disk)
     lease_timeout_seconds: float = 30.0  # heartbeat age that orphans a cell
     # Post-sweep statistics (repro.stats): permutation tests + bootstrap
@@ -183,15 +182,6 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ExperimentError(
                 f"workers must be >= 1, got {self.workers}"
-            )
-        if self.shards < 1:
-            raise ExperimentError(
-                f"shards must be >= 1, got {self.shards}"
-            )
-        if self.shards > 1 and self.workers > 1:
-            raise ExperimentError(
-                "shards and workers are alternative fan-out mechanisms; "
-                "set at most one of them above 1"
             )
         if self.stats_resamples < 1:
             raise ExperimentError(

@@ -10,7 +10,7 @@ the same journal path skips every journaled cell and finishes the rest.
 
 Format — one JSON object per line:
 
-* an optional header line ``{"kind": "header", "version": 2,
+* an optional header line ``{"kind": "header", "version": 3,
   "fingerprint": ...}`` pinning the experiment configuration, so a
   journal cannot silently be resumed with different settings;
 * record lines ``{"kind": "record", "key": ..., "record": {...}}``
@@ -135,8 +135,8 @@ class RunJournal:
 
     A journal has exactly **one writer: the process that opened it**.
     The sweep scheduler keeps this invariant by giving every worker its
-    own shard, and under ``workers=N`` by having the supervisor copy
-    finished records into the caller's journal; concurrent appends from
+    own shard and having the supervisor copy finished records into the
+    caller's journal; concurrent appends from
     multiple processes would interleave partial lines and corrupt the
     log.  :meth:`append` asserts the invariant, so a journal object
     smuggled into a forked child fails loudly instead.
@@ -211,7 +211,7 @@ class RunJournal:
 
     def _write_line(self, entry: Dict) -> None:
         # Keys keep the order the entry was built in, so a record read
-        # back (a resumed cell, or any cell of a workers/shards sweep)
+        # back (a resumed cell, or any cell of a ``workers`` sweep)
         # is the record that was written, down to its dicts' key order.
         self._handle.write(json.dumps(entry) + "\n")
         self._handle.flush()

@@ -10,9 +10,10 @@ mean wall time by pipeline stage, plus performance-counter totals, when
 the sweep was traced), a degradation summary (clean vs degraded vs
 failed cells per algorithm, with the diagnostic kinds behind each
 degradation), a recovery-event section (lease reclaims and worker
-respawns from a sharded run, when the caller passes the scheduler's
-event log), and a failure inventory.  This is what a user shares from a
-custom experiment; the bench suite's text reports are its sibling.
+respawns from a ``workers`` sweep, when the caller passes the
+scheduler's event log), and a failure inventory.  This is what a user
+shares from a custom experiment; the bench suite's text reports are its
+sibling.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def _stats_sections(stats) -> List[str]:
 
 
 def _recovery_section(events: Sequence[Dict[str, object]]) -> List[str]:
-    """The "recovery events" section for a sharded run's event log.
+    """The "recovery events" section for a ``workers`` sweep's event log.
 
     ``events`` is :func:`repro.harness.scheduler.load_recovery_events`
     output (possibly filtered).  Counts come first — that is what a CI
@@ -186,9 +187,7 @@ def _recovery_section(events: Sequence[Dict[str, object]]) -> List[str]:
             detail = (f"cell `{event.get('key') or '(unreadable lease)'}` "
                       f"from pid {event.get('pid')} "
                       f"({event.get('reason')}, "
-                      f"attempt {event.get('attempts')}"
-                      + (", at startup)" if event.get("at_startup")
-                         else ")"))
+                      f"attempt {event.get('attempts')})")
         elif kind == "worker_respawned":
             detail = (f"shard {event.get('shard')} "
                       f"(exit code {event.get('exit_code')})")
@@ -210,7 +209,7 @@ def markdown_report(
 ) -> str:
     """Render a full markdown report for a result table.
 
-    ``recovery_events`` (a sharded run's
+    ``recovery_events`` (a ``workers`` sweep's
     :func:`~repro.harness.scheduler.load_recovery_events` output) adds a
     "recovery events" section; ``None`` or an empty list omits it, so
     serial reports are unchanged.

@@ -8,18 +8,18 @@ actor — can succeed on a second attempt.  :class:`RetryPolicy` retries
 only the error classes named as transient, with exponential backoff, and
 the final record carries the attempt count so sweeps remain auditable.
 
-Backoff can carry **decorrelated jitter** (AWS-style: each delay is
-drawn uniformly between the base backoff and three times the previous
-delay, capped).  Without it, N sharded workers that hit the same
-transient failure — a briefly overloaded filesystem, a BLAS hiccup under
-contention — all sleep the same deterministic schedule and retry in
-lockstep, re-creating the very contention they are backing off from.
-Jitter defaults to *auto*: on for sweeps run by several processes
-(``shards`` or ``workers``), off for single-process sweeps whose
-historical delays stay bit-identical.  The draw is seeded from the
-cell's own seed, so a rerun of the same cell retries on the same
-schedule — jitter decorrelates cells from each other, never a run from
-its rerun.
+Distributed callers get **decorrelated jitter** (AWS-style: each delay
+is drawn uniformly between the base backoff and three times the previous
+delay, capped at :data:`MAX_BACKOFF_SECONDS`).  Without it, N workers
+that hit the same transient failure — a briefly overloaded filesystem, a
+BLAS hiccup under contention — all sleep the same deterministic schedule
+and retry in lockstep, re-creating the very contention they are backing
+off from.  Jitter is on exactly when the caller passes
+``distributed=True``: a cell of a ``workers`` sweep, or a service
+ticket.  Single-process sweeps keep the uncapped exponential schedule
+(factor :data:`BACKOFF_FACTOR`).  The draw is seeded from the cell's own
+seed, so a rerun of the same cell retries on the same schedule — jitter
+decorrelates cells from each other, never a run from its rerun.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from typing import Callable, Optional, Tuple
 from repro.exceptions import ExperimentError
 from repro.harness.results import RunRecord
 
-__all__ = ["DEFAULT_TRANSIENT_ERRORS", "RetryPolicy", "run_with_retry"]
+__all__ = ["DEFAULT_TRANSIENT_ERRORS", "BACKOFF_FACTOR", "MAX_BACKOFF_SECONDS",
+           "RetryPolicy", "run_with_retry"]
 
 # Error classes worth a second attempt by default.  Names match the
 # ``ClassName: message`` prefix run_cell writes into RunRecord.error.
@@ -41,6 +42,12 @@ DEFAULT_TRANSIENT_ERRORS: Tuple[str, ...] = (
     "LinAlgError",
     "ConvergenceError",
 )
+
+# Growth of the un-jittered delay per further attempt, and the ceiling
+# on any single jittered delay (decorrelated jitter grows
+# multiplicatively and needs one).
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_SECONDS = 60.0
 
 
 def _jitter_rng(jitter_seed: int) -> random.Random:
@@ -65,31 +72,17 @@ class RetryPolicy:
     max_attempts:
         Total attempts including the first (1 disables retrying).
     backoff_seconds:
-        Sleep before the second attempt; grows by ``backoff_factor``
+        Sleep before the second attempt; grows by :data:`BACKOFF_FACTOR`
         for each further attempt (0 disables sleeping).
-    backoff_factor:
-        Multiplier applied to the delay after every retry.
     retry_on:
         Exception class names considered transient.  A failed record
         whose ``error`` starts with ``"<name>:"`` is retried; anything
         else (timeouts, memory blowouts, unknown algorithms) fails fast.
-    jitter:
-        ``True`` forces decorrelated jitter on, ``False`` forces the
-        deterministic schedule, ``None`` (default) resolves by context:
-        on for distributed runs, off otherwise — see
-        :meth:`jitter_active`.
-    max_backoff_seconds:
-        Cap on any single jittered delay (decorrelated jitter grows
-        multiplicatively and needs a ceiling).  Un-jittered delays keep
-        their historical uncapped schedule.
     """
 
     max_attempts: int = 3
     backoff_seconds: float = 0.0
-    backoff_factor: float = 2.0
     retry_on: Tuple[str, ...] = DEFAULT_TRANSIENT_ERRORS
-    jitter: Optional[bool] = None
-    max_backoff_seconds: float = 60.0
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -100,46 +93,31 @@ class RetryPolicy:
             raise ExperimentError(
                 f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
             )
-        if self.backoff_factor < 1:
-            raise ExperimentError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.max_backoff_seconds <= 0:
-            raise ExperimentError(
-                f"max_backoff_seconds must be positive, "
-                f"got {self.max_backoff_seconds}"
-            )
 
     def is_transient(self, error: str) -> bool:
         """Whether a record's error string names a retryable class."""
         name = error.split(":", 1)[0].strip()
         return name in self.retry_on
 
-    def jitter_active(self, distributed: bool = False) -> bool:
-        """Resolve the ``jitter`` tri-state for one execution context."""
-        if self.jitter is None:
-            return bool(distributed)
-        return bool(self.jitter)
-
     def delay(self, attempt: int, jitter_seed: Optional[int] = None,
               distributed: bool = False) -> float:
         """Seconds to wait after the given (1-indexed) failed attempt.
 
-        With jitter active and a seed available, the delay after attempt
-        ``i`` is the ``i``-th draw of the decorrelated-jitter recurrence
-        ``d_i = min(cap, U(base, 3 * d_{i-1}))`` from a per-cell RNG —
-        deterministic for a given ``jitter_seed``, decorrelated across
-        seeds.  Otherwise the classic ``base * factor ** (attempt - 1)``
-        schedule applies unchanged.
+        When ``distributed`` and a seed is available, the delay after
+        attempt ``i`` is the ``i``-th draw of the decorrelated-jitter
+        recurrence ``d_i = min(cap, U(base, 3 * d_{i-1}))`` from a
+        per-cell RNG — deterministic for a given ``jitter_seed``,
+        decorrelated across seeds.  Otherwise the classic
+        ``base * factor ** (attempt - 1)`` schedule applies unchanged.
         """
-        base = self.backoff_seconds * self.backoff_factor ** (attempt - 1)
-        if (not self.jitter_active(distributed) or jitter_seed is None
+        base = self.backoff_seconds * BACKOFF_FACTOR ** (attempt - 1)
+        if (not distributed or jitter_seed is None
                 or self.backoff_seconds <= 0):
             return base
         rng = _jitter_rng(jitter_seed)
         pause = self.backoff_seconds
         for _ in range(attempt):
-            pause = min(self.max_backoff_seconds,
+            pause = min(MAX_BACKOFF_SECONDS,
                         rng.uniform(self.backoff_seconds,
                                     max(self.backoff_seconds, pause * 3.0)))
         return pause

@@ -25,7 +25,6 @@ from repro.algorithms.base import AlignmentAlgorithm
 from repro.cache import ArtifactCache, active_cache, artifact_cache
 from repro.context import RunContext, current_context
 from repro.diagnostics import capture_diagnostics
-from repro.exceptions import ExperimentError
 from repro.observability import capture_trace, span
 from repro.harness.config import ExperimentConfig
 from repro.harness.journal import (
@@ -36,8 +35,7 @@ from repro.harness.journal import (
 )
 from repro.harness.results import ResultTable, RunRecord
 from repro.harness.retry import run_with_retry
-from repro.harness.scheduler import (_process_count, run_sharded_experiment,
-                                     scratch_directory)
+from repro.harness.scheduler import run_sharded_experiment
 from repro.measures import evaluate_all
 from repro.noise import GraphPair, make_pair
 
@@ -249,16 +247,14 @@ def run_experiment(
     the returned table always contains journaled and fresh records alike.
     Execution knobs come from the config: ``config.budget`` runs each
     cell in a resource-capped child process, ``config.retry_policy``
-    re-attempts transient failures, and ``config.workers > 1`` or
-    ``config.shards > 1`` runs the cells on that many worker processes
-    of the lease-coordinated scheduler
-    (:func:`repro.harness.scheduler.run_sharded_experiment`), which
-    tolerates killed and hung workers — with identical results, budgets
-    and retries.  Under ``shards`` every worker owns a journal shard next
-    to ``journal``, which must therefore be a *path*; under ``workers``
-    the shards live in a scratch directory and ``journal`` stays the one
-    file, written by this process alone, so serial and ``workers`` runs
-    resume each other.
+    re-attempts transient failures, and ``config.workers > 1`` runs the
+    cells on that many worker processes of the lease-coordinated
+    scheduler (:func:`repro.harness.scheduler.run_sharded_experiment`),
+    which tolerates killed and hung workers — with identical results,
+    budgets and retries.  Its shards live in a scratch directory,
+    ``journal`` stays the one file, written by this process alone, so
+    serial and ``workers`` runs resume each other, and its recovery
+    events go to ``<journal>.events.jsonl``.
     ``config.cache_dir`` layers a crash-safe disk cache
     (:mod:`repro.cache_disk`) under every per-instance artifact cache,
     so eigendecompositions and other per-graph intermediates persist
@@ -270,25 +266,13 @@ def run_experiment(
     factory = pair_factory or _default_pair_factory
     journal_path = (journal.path if isinstance(journal, RunJournal)
                     else Path(journal) if journal is not None else None)
-    if int(getattr(config, "shards", 1)) > 1:
-        if journal is None:
-            raise ExperimentError(
-                "a sharded sweep (config.shards > 1) needs a journal path: "
-                "the shard journals, leases, and done markers all live "
-                "next to it"
-            )
-        table = run_sharded_experiment(config, graphs, factory, progress,
-                                       journal)
-        return _attach_stats(config, table, journal_path)
     owns_journal = journal is not None and not isinstance(journal, RunJournal)
     if owns_journal:
         journal = RunJournal(journal, fingerprint=config_fingerprint(config))
     try:
-        if int(getattr(config, "workers", 1)) > 1:
-            with scratch_directory() as scratch:
-                table = run_sharded_experiment(
-                    config, graphs, factory, progress,
-                    scratch / "sweep.jsonl", mirror=journal)
+        if config.workers > 1:
+            table = run_sharded_experiment(config, graphs, factory,
+                                           progress, mirror=journal)
         else:
             table = _run_sweep(config, graphs, factory, progress, journal)
     finally:
@@ -304,8 +288,8 @@ def _attach_stats(config: ExperimentConfig, table: ResultTable,
     Runs after the sweep (and after the run journal is closed): the
     statistics are derived from the finished table in this process and
     journaled into the ``<journal>.stats`` side-car when the sweep was
-    journaled, so serial, ``workers`` and ``shards`` sweeps compute them
-    the same way.
+    journaled, so serial and ``workers`` sweeps compute them the same
+    way.
     """
     if not bool(getattr(config, "stats", False)):
         return table
@@ -348,8 +332,8 @@ def _collect_instances(config, graphs, journal, table
 
     One ``(dataset, noise type, level, rep, pending algorithms)`` entry
     per instance, so the serial loop builds each noisy pair once.  The
-    scheduler (``workers``/``shards``) skips the same journaled cells:
-    its supervisor marks them done before any worker starts.
+    scheduler (``workers``) skips the same journaled cells: its
+    supervisor marks them done before any worker starts.
     """
     tasks = []
     for dataset in graphs:
@@ -415,9 +399,8 @@ def _execute_cell(config: ExperimentConfig, name: str, pair: GraphPair,
     if config.retry_policy is not None:
         # The cell seed doubles as the jitter seed so a rerun of the same
         # cell backs off on the same schedule; a sweep run by more than
-        # one process (``shards`` or ``workers``) counts as distributed,
-        # which switches the retry tri-state default on.
+        # one process counts as distributed, which turns the jitter on.
         return run_with_retry(
             attempt, config.retry_policy, jitter_seed=seed,
-            distributed=_process_count(config) > 1)
+            distributed=config.workers > 1)
     return attempt(1)

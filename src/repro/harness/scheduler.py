@@ -1,27 +1,29 @@
-"""Shard-aware distributed sweep scheduler with lease-based orphan recovery.
+"""Lease-coordinated multi-process sweep executor with orphan recovery.
 
-The one multi-process sweep executor: ``ExperimentConfig(shards=N)``
-runs it next to the caller's journal path, and ``workers=N`` runs it in
-a scratch directory with the caller's journal as a supervisor-written
-mirror.  It is built for multi-process (and, by design,
-multi-host-on-shared-storage) sweeps and keeps the crash-resume
-guarantees: workers can be SIGKILLed, hang, or die mid-cell, and the
-sweep still converges to records bit-identical to a serial run.
+The one multi-process sweep executor: ``ExperimentConfig(workers=N)``
+runs it in a private scratch directory, with the caller's journal as a
+mirror that only the supervisor writes.  Workers can be SIGKILLed, hang,
+or die mid-cell, and the sweep still converges to records bit-identical
+to a serial run.
 
 Coordination is entirely filesystem-based — no sockets, no queues, no
 ``fcntl`` locks (see DESIGN.md for why atomic create/rename beats
-advisory locking, especially on NFS).  Next to the journal base path
-``J`` live::
+advisory locking).  Inside the scratch directory, next to its base path
+``S``, live::
 
-    J.shard00, J.shard01, ...   one RunJournal per worker (single writer
-                                each; merged on read with key dedupe)
-    J.leases/<hash>.lease       atomic O_EXCL claim of one cell, carrying
+    S.shard00, S.shard01, ...   one RunJournal per worker (single writer
+                                each; read by the supervisor with key
+                                dedupe)
+    S.leases/<hash>.lease       atomic O_EXCL claim of one cell, carrying
                                 owner pid/host + a heartbeat timestamp,
                                 refreshed by temp-file + atomic rename
-    J.leases/<hash>.attempts    how often the cell was orphaned (lease
+    S.leases/<hash>.attempts    how often the cell was orphaned (lease
                                 reclaimed); preserved attempt accounting
-    J.done/<hash>.done          completion marker (content = cell key)
-    J.events.jsonl              supervisor-owned recovery-event log
+    S.done/<hash>.done          completion marker (content = cell key)
+
+The supervisor's recovery-event log is ``<journal>.events.jsonl`` next
+to the caller's journal ``J`` (inside the scratch directory when the
+sweep has no journal), so it outlives the scratch directory.
 
 Lifecycle of one cell: a worker finds no done marker, creates the lease
 with ``O_CREAT | O_EXCL`` (the atomic claim), runs the cell while a
@@ -33,12 +35,19 @@ worker is SIGKILLed first so it can never wake up and double-write) —
 reclaims them by bumping the attempts file and deleting the lease, and
 lets the surviving workers re-claim.  A cell orphaned more often than
 the retry policy allows is recorded as failed instead of crash-looping
-the fleet.
+the fleet.  Each newly finished record is appended to ``J``.
 
-Records are deduplicated on merge (first shard in sorted order wins):
+Records are deduplicated on read (a key keeps the first record read):
 the only way a cell appears twice is the benign crash window between a
 durable shard append and the done marker, and both records were computed
 from the same :func:`~repro.harness.runner.cell_seed`.
+
+A SIGKILLed supervisor behaves like a killed serial sweep: ``J`` is the
+only durable record and the only thing a rerun resumes from.  Cells its
+workers were still running run again, and their orphan tombstones (and
+any reclaim the dead supervisor had not yet polled) stay behind in the
+abandoned scratch directory, which the next ``workers`` sweep on the
+host removes.
 """
 
 from __future__ import annotations
@@ -55,8 +64,7 @@ import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.cache_disk import atomic_write_bytes, read_jsonl
 from repro.exceptions import ExperimentError
@@ -82,7 +90,6 @@ __all__ = [
     "event_log_segments",
     "load_event_segments",
     "load_recovery_events",
-    "merge_shard_records",
     "scratch_directory",
     "run_sharded_experiment",
 ]
@@ -118,23 +125,13 @@ def cell_hash(key: str) -> str:
 
 
 class ShardPaths:
-    """Every path the scheduler derives from one journal base path."""
+    """Every path the scheduler derives from one base path."""
 
-    def __init__(self, base: Union[str, Path], shards: int):
+    def __init__(self, base: Union[str, Path]):
         self.base = Path(base)
-        self.shards = int(shards)
 
     def shard(self, index: int) -> Path:
         return self.base.with_name(f"{self.base.name}.shard{index:02d}")
-
-    def existing_shards(self) -> List[Path]:
-        """Every shard file on disk, not just the current shard count.
-
-        A sweep resumed with a different ``--shards`` must still see the
-        previous run's records.
-        """
-        pattern = f"{self.base.name}.shard*"
-        return sorted(self.base.parent.glob(pattern))
 
     @property
     def lease_dir(self) -> Path:
@@ -474,18 +471,19 @@ def load_event_segments(path: Union[str, Path]) -> List[Dict[str, object]]:
     return events
 
 
-def load_recovery_events(journal_base: Union[str, Path]
+def load_recovery_events(journal: Union[str, Path]
                          ) -> List[Dict[str, object]]:
-    """The scheduler's recovery events for one journal base path.
+    """The recovery events of every ``workers`` sweep journaled at
+    ``journal`` (its ``<journal>.events.jsonl`` log).
 
     Reads across rotated segments (oldest first) and the live file, and
     tolerates a truncated trailing line in any of them.
     """
-    return load_event_segments(ShardPaths(journal_base, 1).events_path)
+    return load_event_segments(ShardPaths(journal).events_path)
 
 
 # ----------------------------------------------------------------------
-# Cell enumeration and shard merging
+# Cell enumeration and shard reading
 
 
 @dataclass(frozen=True)
@@ -520,12 +518,14 @@ def _enumerate_cells(config, graphs) -> List[_Cell]:
     return cells
 
 
-def _read_new_records(paths: ShardPaths, fingerprint: Optional[str],
+def _read_new_records(paths: ShardPaths, workers: int,
+                      fingerprint: Optional[str],
                       offsets: Dict[Path, int],
                       records: Dict[str, RunRecord]) -> None:
-    """Add every record appended to any shard since the byte offsets in
-    ``offsets`` (advanced in place, so a supervisor polling a long sweep
-    parses each line once); a key keeps the first record read for it.
+    """Add every record appended to the ``workers`` shards since the byte
+    offsets in ``offsets`` (advanced in place, so a supervisor polling a
+    long sweep parses each line once); a key keeps the first record read
+    for it.
 
     Shards are read **without mutating them** (unlike
     ``RunJournal.__init__``, which truncates torn tails — fatal to a
@@ -533,7 +533,7 @@ def _read_new_records(paths: ShardPaths, fingerprint: Optional[str],
     tails are simply not consumed; the owning worker repairs its own
     shard when it reopens it.
     """
-    for path in paths.existing_shards():
+    for path in map(paths.shard, range(workers)):
         start = offsets.get(path, 0)
         entries, consumed = read_jsonl(path, start)
         offsets[path] = start + consumed
@@ -551,16 +551,6 @@ def _read_new_records(paths: ShardPaths, fingerprint: Optional[str],
             elif kind == "record":
                 records.setdefault(entry["key"],
                                    RunRecord.from_dict(entry["record"]))
-
-
-def merge_shard_records(paths: ShardPaths, fingerprint: Optional[str]
-                        ) -> Dict[str, RunRecord]:
-    """All shards merged with per-key dedupe (first shard in sorted order
-    wins; duplicates only arise from the append-vs-done-marker crash
-    window and were computed from the same deterministic seed)."""
-    merged: Dict[str, RunRecord] = {}
-    _read_new_records(paths, fingerprint, {}, merged)
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -607,13 +597,6 @@ def _failed_record(cell: _Cell, config, error: str,
     )
 
 
-def _process_count(config) -> int:
-    """Worker processes of one sweep: ``shards`` or ``workers``, whichever
-    is set (the config rejects setting both above 1)."""
-    return max(int(getattr(config, "shards", 1)),
-               int(getattr(config, "workers", 1)))
-
-
 def _orphan_attempt_limit(config) -> int:
     policy = getattr(config, "retry_policy", None)
     if policy is not None:
@@ -648,7 +631,7 @@ def _install_worker_sigterm_handler():
 
 
 def _shard_worker_main(shard_index: int, base: str, config, graphs,
-                       factory, fingerprint: str) -> None:
+                       factory, fingerprint: str, supervisor: int) -> None:
     """Worker body: claim → run → journal → done-marker → release, forever.
 
     Self-directed: the worker walks the full deterministic cell list
@@ -658,8 +641,11 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
     instance to the worker already running one of its cells, so each
     instance's algorithms share one noisy pair and one artifact cache,
     as in the serial loop.  It exits when every cell has a done marker,
-    or when its supervisor disappears (``getppid() == 1`` — an orphaned
-    worker must not soldier on against a sweep nobody owns).
+    or when its parent is no longer ``supervisor`` (the pid that spawned
+    it) — an orphaned worker must not soldier on against a sweep nobody
+    owns.  Orphans are re-parented to init *or* to the nearest child
+    subreaper (``systemd --user``, any process that set
+    ``PR_SET_CHILD_SUBREAPER``), so a parent pid of 1 is not the test.
 
     SIGTERM drains the worker gracefully: the handler unwinds the run
     loop, the burned attempt is tombstoned, and the held lease is
@@ -671,8 +657,7 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
                                       _instance_cache, cell_seed)
 
     previous_sigterm = _install_worker_sigterm_handler()
-    processes = _process_count(config)
-    paths = ShardPaths(base, processes)
+    paths = ShardPaths(base)
     journal = RunJournal(paths.shard(shard_index), fingerprint=fingerprint)
     open_cache = _instance_cache(config)
     cells = _enumerate_cells(config, graphs)
@@ -681,7 +666,7 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
         return
     starts = [index for index, cell in enumerate(cells)
               if index == 0 or cell.instance != cells[index - 1].instance]
-    offset = starts[(shard_index * len(starts)) // processes]
+    offset = starts[(shard_index * len(starts)) // int(config.workers)]
     order = cells[offset:] + cells[:offset]
     lease_timeout = float(getattr(config, "lease_timeout_seconds", 30.0))
     heartbeat = _HeartbeatThread(interval_seconds=lease_timeout / 5.0)
@@ -703,13 +688,15 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
 
     try:
         while True:
-            if os.getppid() == 1:
+            if os.getppid() != supervisor:
                 return  # supervisor is gone; stop claiming work
             any_progress = False
             all_done = True
             busy = None  # an instance another worker holds a lease in
             for position, cell in enumerate(order):
                 if held is not None and held[0] is cell:
+                    if os.getppid() != supervisor:
+                        return  # the finally below releases the lease
                     _, lease, prior = held
                     held = None
                 else:
@@ -724,7 +711,7 @@ def _shard_worker_main(shard_index: int, base: str, config, graphs,
                     all_done = False
                     if cell.instance == busy:
                         continue
-                    if os.getppid() == 1:
+                    if os.getppid() != supervisor:
                         return
                     lease, prior = claim(cell)
                     if lease is None:
@@ -843,137 +830,123 @@ def run_sharded_experiment(
     graphs: Dict[str, object],
     factory: Callable,
     progress: Optional[Callable[[str], None]],
-    journal: Union[str, Path],
     mirror: Optional[RunJournal] = None,
 ) -> ResultTable:
-    """Run the sweep across ``max(config.shards, config.workers)``
-    lease-coordinated workers.
+    """Run the sweep across ``config.workers`` lease-coordinated workers.
 
-    The supervisor never executes cells; it spawns workers, watches
-    their liveness, reclaims orphaned leases (killing provably hung
-    owners first), respawns dead workers while work remains, and records
-    every recovery event to ``<journal>.events.jsonl``.  Returns the
-    merged table once every cell has a durable record in some shard.
+    The supervisor never executes cells; it spawns workers into a fresh
+    :func:`scratch_directory`, watches their liveness, reclaims orphaned
+    leases (killing provably hung owners first), respawns dead workers
+    while work remains, and records every recovery event to
+    ``<mirror>.events.jsonl`` (inside the scratch directory when there is
+    no mirror).  Returns the table once every cell has a durable record.
 
-    ``mirror`` is an open :class:`RunJournal` the supervisor alone
-    writes: its records count as done before any worker starts, and each
-    newly finished cell is reported to ``progress`` and then appended to
-    it.  ``workers=N`` sweeps run with ``journal`` in a scratch directory
-    and the caller's journal as the mirror.
+    ``mirror`` is the caller's open :class:`RunJournal`, which the
+    supervisor alone writes: its records count as done before any worker
+    starts, and each newly finished cell is reported to ``progress`` and
+    then appended to it.
     """
     import multiprocessing as mp
 
-    if isinstance(journal, RunJournal):
-        raise ExperimentError(
-            "sharded sweeps take a journal *path* (each worker opens its "
-            "own shard next to it), not an open RunJournal"
-        )
-    processes = _process_count(config)
-    paths = ShardPaths(journal, processes)
-    paths.ensure_dirs()
+    processes = int(config.workers)
     fingerprint = config_fingerprint(config)
-    events = EventLog(paths.events_path)
     cells = _enumerate_cells(config, graphs)
     cell_keys = {cell.key for cell in cells}
-    markers = {_done_path(paths, key).name: key for key in cell_keys}
     lease_timeout = float(getattr(config, "lease_timeout_seconds", 30.0))
-
-    # Resume: records from previous incarnations count as done.
-    offsets: Dict[Path, int] = {}
     records: Dict[str, RunRecord] = {}
-    _read_new_records(paths, fingerprint, offsets, records)
     if mirror is not None:
         records.update((key, mirror.get(key)) for key in cell_keys
                        if key in mirror)
-    reported = cell_keys & set(records)
-    for key in reported:
-        _publish_done(paths, key)
-
-    # Leases left behind by a crashed previous run: reclaim the provably
-    # dead ones right away so the fresh fleet is never blocked on them.
-    for path, lease, reason in scan_stale_leases(paths.lease_dir,
-                                                 lease_timeout):
-        attempts = bump_attempts(paths.lease_dir, lease.key) \
-            if lease.key else 0
-        events.record("lease_reclaimed", key=lease.key, pid=lease.pid,
-                      reason=reason, attempts=attempts, at_startup=True)
-        release_lease(path)
-
+    reported = set(records)
     ctx = (mp.get_context("fork")
            if "fork" in mp.get_all_start_methods() else mp.get_context())
 
-    def spawn(index: int):
-        worker = ctx.Process(
-            target=_shard_worker_main,
-            args=(index, str(paths.base), config, graphs, factory,
-                  fingerprint),
-        )
-        worker.start()
-        return worker
+    with scratch_directory() as scratch:
+        paths = ShardPaths(scratch / "sweep.jsonl")
+        paths.ensure_dirs()
+        events = EventLog(ShardPaths(mirror.path).events_path
+                          if mirror is not None else paths.events_path)
+        markers = {_done_path(paths, key).name: key for key in cell_keys}
+        offsets: Dict[Path, int] = {}
+        for key in reported:
+            _publish_done(paths, key)
 
-    def respawn(index: int) -> None:
-        worker = workers[index]
-        worker.join()
-        events.record("worker_respawned", shard=index,
-                      exit_code=worker.exitcode)
-        workers[index] = spawn(index)
+        def spawn(index: int):
+            worker = ctx.Process(
+                target=_shard_worker_main,
+                args=(index, str(paths.base), config, graphs, factory,
+                      fingerprint, os.getpid()),
+            )
+            worker.start()
+            return worker
 
-    workers: Dict[int, object] = {}
-    try:
-        while True:
-            done_keys = _read_done_keys(paths, markers)
-            if done_keys - reported:
-                _read_new_records(paths, fingerprint, offsets, records)
-            for key in sorted((done_keys - reported) & set(records)):
-                if progress is not None:
-                    progress(_progress_message(key))
-                if mirror is not None:
-                    mirror.append(key, records[key])
-                reported.add(key)
-            if len(done_keys) >= len(cell_keys):
-                break
+        def respawn(index: int) -> None:
+            worker = workers[index]
+            worker.join()
+            events.record("worker_respawned", shard=index,
+                          exit_code=worker.exitcode)
+            workers[index] = spawn(index)
 
-            for path, lease, reason in scan_stale_leases(paths.lease_dir,
-                                                         lease_timeout):
-                if reason == "expired_heartbeat" and lease.pid > 0 \
-                        and lease.host == socket.gethostname() \
-                        and _pid_alive(lease.pid):
-                    # A hung-but-alive worker must die *before* its lease
-                    # is handed to someone else, or it could wake up and
-                    # append a second copy (harmless for records, but a
-                    # second live writer on one shard is not).
-                    try:
-                        os.kill(lease.pid, signal.SIGKILL)
-                    except OSError:
-                        pass
-                    # Reap and replace it while its cell is still leased:
-                    # a sibling could otherwise finish the cell before the
-                    # next poll and end the sweep with no respawn recorded.
-                    for index, worker in list(workers.items()):
-                        if worker.pid == lease.pid:
-                            respawn(index)
-                attempts = bump_attempts(paths.lease_dir, lease.key) \
-                    if lease.key else 0
-                events.record("lease_reclaimed", key=lease.key,
-                              pid=lease.pid, reason=reason,
-                              attempts=attempts)
-                release_lease(path)
+        workers: Dict[int, object] = {}
+        try:
+            while True:
+                done_keys = _read_done_keys(paths, markers)
+                if done_keys - reported:
+                    _read_new_records(paths, processes, fingerprint,
+                                      offsets, records)
+                for key in sorted((done_keys - reported) & set(records)):
+                    if progress is not None:
+                        progress(_progress_message(key))
+                    if mirror is not None:
+                        mirror.append(key, records[key])
+                    reported.add(key)
+                if len(done_keys) >= len(cell_keys):
+                    break
 
-            for index in range(processes):
-                if index not in workers:
-                    workers[index] = spawn(index)
-                elif not workers[index].is_alive():
-                    respawn(index)
-            time.sleep(_SUPERVISOR_POLL_SECONDS)
-    finally:
-        # After a finished sweep the workers left are idle or re-running
-        # a done cell: SIGTERM drains them now rather than after their
-        # next idle re-scan.
-        for worker in workers.values():
-            if worker.is_alive():
-                worker.terminate()
-                worker.join()
-        events.close()
+                for path, lease, reason in scan_stale_leases(
+                        paths.lease_dir, lease_timeout):
+                    if reason == "expired_heartbeat" and lease.pid > 0 \
+                            and lease.host == socket.gethostname() \
+                            and _pid_alive(lease.pid):
+                        # A hung-but-alive worker must die *before* its
+                        # lease is handed to someone else, or it could
+                        # wake up and append a second copy (harmless for
+                        # records, but a second live writer on one shard
+                        # is not).
+                        try:
+                            os.kill(lease.pid, signal.SIGKILL)
+                        except OSError:
+                            pass
+                        # Reap and replace it while its cell is still
+                        # leased: a sibling could otherwise finish the
+                        # cell before the next poll and end the sweep with
+                        # no respawn recorded.
+                        for index, worker in list(workers.items()):
+                            if worker.pid == lease.pid:
+                                respawn(index)
+                    attempts = bump_attempts(paths.lease_dir, lease.key) \
+                        if lease.key else 0
+                    events.record("lease_reclaimed", key=lease.key,
+                                  pid=lease.pid, reason=reason,
+                                  attempts=attempts)
+                    release_lease(path)
+
+                for index in range(processes):
+                    if index not in workers:
+                        workers[index] = spawn(index)
+                    elif not workers[index].is_alive():
+                        respawn(index)
+                time.sleep(_SUPERVISOR_POLL_SECONDS)
+        finally:
+            # After a finished sweep the workers left are idle or
+            # re-running a done cell: SIGTERM drains them now rather than
+            # after their next idle re-scan, and before the scratch
+            # directory under them is removed.
+            for worker in workers.values():
+                if worker.is_alive():
+                    worker.terminate()
+                    worker.join()
+            events.close()
 
     table = ResultTable()
     missing = []

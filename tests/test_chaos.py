@@ -1,13 +1,13 @@
 """End-to-end chaos invariant of the distributed scheduler + disk cache.
 
-The PR's acceptance bar: running a sweep with ``shards=4`` and a
+The acceptance bar: running a sweep with ``workers=4`` and a
 ``cache_dir`` while (a) a worker is SIGKILLed mid-cell, (b) the
 supervisor itself is SIGKILLed mid-sweep, and (c) cache payloads are
 corrupted between resume rounds, the resumed sweep still completes with
-merged records **bit-identical** (order-insensitive, attempts excluded —
-orphaned cells legitimately accumulate extra attempts) to a serial
-cache-off run, and every recovery is visible in the scheduler's event
-log, the cache's event log, and the markdown report.
+journaled records **bit-identical** (order-insensitive, attempts
+excluded — orphaned cells legitimately accumulate extra attempts) to a
+serial cache-off run, and every recovery is visible in the scheduler's
+event log, the cache's event log, and the markdown report.
 
 Set ``REPRO_CHAOS_REPORT=/path/report.md`` (the CI chaos job does) to
 get the recovery report written out as a build artifact.
@@ -17,6 +17,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -56,7 +57,7 @@ def canonical_no_attempts(table):
     )
 
 
-# Driver: one sharded sweep round, optionally with a one-shot
+# Driver: one workers=4 sweep round, optionally with a one-shot
 # kill_worker fault and a suicide-after-N-cells supervisor.  Run as a
 # subprocess so SIGKILLing the supervisor kills a whole process tree,
 # exactly like a crashed host.
@@ -65,21 +66,29 @@ import os, signal, sys
 from repro.faults import FaultSpec, inject_fault
 from repro.graphs import powerlaw_cluster_graph
 from repro.harness import ExperimentConfig, run_experiment
+from repro.harness.scheduler import load_recovery_events
 
 journal, cache_dir, kill_after, trigger = (
     sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4])
 config = ExperimentConfig(
     name="chaos", algorithms=["isorank", "nsd"],
     noise_levels=(0.0, 0.02, 0.05), repetitions=2, seed=7,
-    shards=4, cache_dir=cache_dir, lease_timeout_seconds=5.0,
+    workers=4, cache_dir=cache_dir, lease_timeout_seconds=5.0,
 )
 graph = powerlaw_cluster_graph(40, 3, 0.3, seed=5)
 count = 0
 
+def reclaimed():
+    return any(event["kind"] == "lease_reclaimed"
+               for event in load_recovery_events(journal))
+
 def progress(message):
     global count
     count += 1
-    if kill_after and count >= kill_after:
+    # Die only once the dead worker's lease reclaim is on record: the
+    # next run starts in a fresh scratch directory and never sees a
+    # lease this supervisor had not yet polled.
+    if kill_after and count >= kill_after and reclaimed():
         os.kill(os.getpid(), signal.SIGKILL)  # supervisor dies mid-sweep
 
 def sweep():
@@ -112,10 +121,11 @@ def _run_driver(journal, cache_dir, kill_after, trigger):
 def _wait_for_orphans(timeout=15.0):
     """Give round-1 stragglers time to notice their supervisor is gone.
 
-    Workers poll ``getppid() == 1`` between cells; a worker mid-cell
-    when the supervisor is SIGKILLed finishes that cell and exits.  Two
-    live writers on one shard file is the one thing the protocol cannot
-    absorb, so round 2 must not start while a round-1 worker breathes.
+    Workers check between cells that their parent is still the
+    supervisor that spawned them; a worker mid-cell when the supervisor
+    is SIGKILLed finishes that cell and exits.  A straggler could still
+    publish cache payloads, so the corruption below and round 2 must not
+    start while a round-1 worker breathes.
     """
     deadline = time.time() + timeout
     while time.time() < deadline:
@@ -135,7 +145,8 @@ def chaos_run(tmp_path_factory):
     trigger = tmp / "killed-once"
 
     # Round 1: one worker SIGKILLs itself mid-cell (kill_worker fault),
-    # and after 3 completed cells the supervisor is SIGKILLed too.
+    # and once 3 cells are done and that worker's lease is reclaimed,
+    # the supervisor is SIGKILLed too.
     first = _run_driver(journal, cache_dir, kill_after=3, trigger=trigger)
     assert first.returncode == -signal.SIGKILL, first.stderr
     _wait_for_orphans()
@@ -172,12 +183,11 @@ class TestChaosInvariant:
 
     def test_bit_identical_to_serial_cache_off_reference(self, chaos_run):
         from repro.harness import RunJournal
-        from repro.harness.scheduler import ShardPaths, merge_shard_records
         from repro.harness.results import ResultTable
 
-        paths = ShardPaths(chaos_run["journal"], 4)
-        merged = ResultTable(
-            list(merge_shard_records(paths, None).values()))
+        journal = RunJournal(chaos_run["journal"])
+        merged = ResultTable(journal.records)
+        journal.close()
         reference = run_experiment(ExperimentConfig(**SWEEP), {"pl": GRAPH})
         assert canonical_no_attempts(merged) == \
             canonical_no_attempts(reference)
@@ -215,11 +225,12 @@ class TestChaosInvariant:
     def test_recovery_report_section(self, chaos_run):
         """The markdown report carries the recovery trail; optionally
         written to $REPRO_CHAOS_REPORT for the CI artifact."""
-        from repro.harness.scheduler import ShardPaths, merge_shard_records
+        from repro.harness import RunJournal
         from repro.harness.results import ResultTable
 
-        paths = ShardPaths(chaos_run["journal"], 4)
-        table = ResultTable(list(merge_shard_records(paths, None).values()))
+        journal = RunJournal(chaos_run["journal"])
+        table = ResultTable(journal.records)
+        journal.close()
         events = list(load_recovery_events(chaos_run["journal"]))
         events.extend(load_cache_events(chaos_run["cache_dir"]))
         report = markdown_report(table, title="chaos sweep",
@@ -234,12 +245,17 @@ class TestChaosInvariant:
 
 
 class TestStaleLeaseRecovery:
-    def test_hung_worker_is_killed_and_its_cell_reclaimed(self, tmp_path):
+    def test_hung_worker_is_killed_and_its_cell_reclaimed(
+            self, tmp_path, monkeypatch):
         """A worker that stops heartbeating while alive (the stale_lease
         fault) must be SIGKILLed by the supervisor and its cell re-run
-        by a surviving worker — in-process, since the supervisor lives."""
+        by a surviving worker — in-process, since the supervisor lives.
+        The journal and its recovery log outlive the scratch directory."""
+        scratch_root = tmp_path / "tmp"
+        scratch_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch_root))
         config = ExperimentConfig(
-            shards=2, lease_timeout_seconds=2.0,
+            workers=2, lease_timeout_seconds=2.0,
             cache_dir=str(tmp_path / "cache"), **SWEEP)
         trigger = tmp_path / "stalled-once"
         spec = FaultSpec(mode="stale_lease", on_call=None,
@@ -254,6 +270,9 @@ class TestStaleLeaseRecovery:
         reclaims = [e for e in events if e["kind"] == "lease_reclaimed"]
         assert any(e["reason"] == "expired_heartbeat" for e in reclaims)
         assert any(e["kind"] == "worker_respawned" for e in events)
+        assert (tmp_path / "J").exists()
+        assert (tmp_path / "J.events.jsonl").exists()
+        assert list(scratch_root.iterdir()) == []
         reference = run_experiment(ExperimentConfig(**SWEEP), {"pl": GRAPH})
         assert canonical_no_attempts(table) == \
             canonical_no_attempts(reference)

@@ -174,6 +174,26 @@ class TestExperimentCommand:
         assert code == 0
         assert journal.stat().st_size == size_after
 
+    def test_workers_flag_reports_recovery(self, tmp_path):
+        """A --workers sweep keeps its recovery log next to --journal: the
+        summary counts it and --report renders it."""
+        from repro.faults import FaultSpec, inject_fault
+
+        journal, report = tmp_path / "J", tmp_path / "R.md"
+        spec = FaultSpec(mode="kill_worker", on_call=None,
+                         trigger_file=str(tmp_path / "killed-once"))
+        with inject_fault("isorank", spec):
+            code, text = _run([
+                "experiment", "--dataset", "ca-netscience",
+                "--algorithms", "isorank", "nsd",
+                "--levels", "0", "0.02", "--reps", "1", "--scale", "0.3",
+                "--workers", "2", "--journal", str(journal),
+                "--report", str(report)])
+        assert code == 0
+        assert "recovery: 1 leases reclaimed, 1 workers respawned" in text
+        assert "## recovery events" in report.read_text()
+        assert "lease_reclaimed" in report.read_text()
+
 
 class TestTuneCommand:
     def test_single_param_sweep(self):

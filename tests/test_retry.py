@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import ExperimentError
 from repro.harness import RetryPolicy, RunRecord, run_with_retry
+from repro.harness.retry import MAX_BACKOFF_SECONDS
 
 
 def _record(failed=False, error=""):
@@ -24,10 +25,6 @@ class TestRetryPolicyValidation:
     def test_rejects_negative_backoff(self):
         with pytest.raises(ExperimentError):
             RetryPolicy(backoff_seconds=-1)
-
-    def test_rejects_shrinking_factor(self):
-        with pytest.raises(ExperimentError):
-            RetryPolicy(backoff_factor=0.5)
 
 
 class TestTransienceClassification:
@@ -50,7 +47,7 @@ class TestTransienceClassification:
 
 class TestBackoffSchedule:
     def test_exponential_growth(self):
-        policy = RetryPolicy(backoff_seconds=1.0, backoff_factor=2.0)
+        policy = RetryPolicy(backoff_seconds=1.0)
         assert policy.delay(1) == 1.0
         assert policy.delay(2) == 2.0
         assert policy.delay(3) == 4.0
@@ -66,59 +63,45 @@ class TestBackoffSchedule:
 
 
 class TestDecorrelatedJitter:
-    def test_tristate_default_auto(self):
-        policy = RetryPolicy()
-        assert not policy.jitter_active(distributed=False)
-        assert policy.jitter_active(distributed=True)
-
-    def test_tristate_forced(self):
-        assert RetryPolicy(jitter=True).jitter_active(distributed=False)
-        assert not RetryPolicy(jitter=False).jitter_active(distributed=True)
-
     def test_deterministic_per_seed(self):
-        policy = RetryPolicy(backoff_seconds=1.0, jitter=True)
+        policy = RetryPolicy(backoff_seconds=1.0)
         for attempt in (1, 2, 3):
-            assert policy.delay(attempt, jitter_seed=42) == \
-                policy.delay(attempt, jitter_seed=42)
+            assert policy.delay(attempt, jitter_seed=42,
+                                distributed=True) == \
+                policy.delay(attempt, jitter_seed=42, distributed=True)
 
     def test_decorrelated_across_seeds(self):
         """Adjacent seeds — the lockstep-retry scenario — get different
         schedules; that is the whole point of the jitter."""
-        policy = RetryPolicy(backoff_seconds=1.0, jitter=True)
-        delays = {round(policy.delay(2, jitter_seed=seed), 9)
+        policy = RetryPolicy(backoff_seconds=1.0)
+        delays = {round(policy.delay(2, jitter_seed=seed,
+                                     distributed=True), 9)
                   for seed in range(20)}
         assert len(delays) > 15
 
     def test_delays_bounded(self):
-        policy = RetryPolicy(backoff_seconds=1.0, jitter=True,
-                             max_backoff_seconds=5.0)
-        for attempt in range(1, 30):
-            delay = policy.delay(attempt, jitter_seed=7)
-            assert 1.0 <= delay <= 5.0
+        policy = RetryPolicy(backoff_seconds=10.0)
+        delays = [policy.delay(attempt, jitter_seed=7, distributed=True)
+                  for attempt in range(1, 30)]
+        assert all(10.0 <= delay <= MAX_BACKOFF_SECONDS for delay in delays)
+        assert max(delays) == MAX_BACKOFF_SECONDS  # the cap binds
 
     def test_unjittered_schedule_unchanged(self):
-        """jitter=False (and no-seed / non-distributed defaults) keep
-        the historical uncapped exponential schedule bit-for-bit."""
-        policy = RetryPolicy(backoff_seconds=1.0, backoff_factor=2.0,
-                             jitter=False)
-        assert [policy.delay(a, jitter_seed=1, distributed=True)
-                for a in (1, 2, 3)] == [1.0, 2.0, 4.0]
-        auto = RetryPolicy(backoff_seconds=1.0, backoff_factor=2.0)
-        assert auto.delay(2, jitter_seed=1) == 2.0  # not distributed
-        assert auto.delay(2, distributed=True) == 2.0  # no seed to draw from
+        """Non-distributed and no-seed calls keep the historical uncapped
+        exponential schedule bit-for-bit."""
+        policy = RetryPolicy(backoff_seconds=1.0)
+        assert [policy.delay(a, jitter_seed=1) for a in (1, 2, 3)] == \
+            [1.0, 2.0, 4.0]
+        assert policy.delay(2, distributed=True) == 2.0  # no seed to draw
+        assert policy.delay(8, jitter_seed=1) == 128.0  # no cap
 
     def test_zero_backoff_stays_zero_with_jitter(self):
-        policy = RetryPolicy(backoff_seconds=0.0, jitter=True)
+        policy = RetryPolicy(backoff_seconds=0.0)
         assert policy.delay(3, jitter_seed=1, distributed=True) == 0.0
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ExperimentError):
-            RetryPolicy(max_backoff_seconds=0.0)
 
     def test_run_with_retry_threads_jitter_through(self):
         slept = []
-        policy = RetryPolicy(max_attempts=3, backoff_seconds=0.1,
-                             jitter=True)
+        policy = RetryPolicy(max_attempts=3, backoff_seconds=0.1)
         run_with_retry(
             lambda attempt: _record(failed=True, error="LinAlgError: x"),
             policy, sleep=slept.append, jitter_seed=11, distributed=True,
@@ -128,8 +111,8 @@ class TestDecorrelatedJitter:
 
 
     @pytest.mark.parametrize("fan_out,distributed", [
-        ({}, False), ({"workers": 2}, True), ({"shards": 2}, True),
-    ], ids=["serial", "workers", "shards"])
+        ({}, False), ({"workers": 2}, True),
+    ], ids=["serial", "workers"])
     def test_sweep_cell_is_distributed_under_several_processes(
             self, monkeypatch, fan_out, distributed):
         from repro.graphs.generators import erdos_renyi_graph
@@ -200,8 +183,7 @@ class TestRunWithRetry:
 
     def test_backoff_slept_between_attempts(self):
         slept = []
-        policy = RetryPolicy(max_attempts=3, backoff_seconds=0.5,
-                             backoff_factor=2.0)
+        policy = RetryPolicy(max_attempts=3, backoff_seconds=0.5)
         run_with_retry(
             lambda attempt: _record(failed=True, error="LinAlgError: x"),
             policy, sleep=slept.append,

@@ -1,10 +1,10 @@
-"""Unit and integration tests for the shard-aware distributed scheduler.
+"""Unit and integration tests for the lease-coordinated sweep scheduler.
 
 The end-to-end chaos invariant (SIGKILL + corruption + resume ==
 bit-identical to serial) lives in ``tests/test_chaos.py``; this module
 covers the lease protocol, stale-lease detection, orphan-attempt
-accounting, shard merging, and the sharded == serial equivalence in the
-no-fault case.
+accounting, shard reading, orphaned-worker shutdown, and the
+``workers`` == serial equivalence in the no-fault case.
 """
 
 import json
@@ -19,12 +19,12 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ExperimentError
+from repro.faults import FaultSpec, inject_fault
 from repro.graphs import powerlaw_cluster_graph
 from repro.harness import (
     ExperimentConfig,
     RunJournal,
     RunRecord,
-    config_fingerprint,
     run_experiment,
 )
 from repro.harness.journal import cell_key
@@ -33,11 +33,11 @@ from repro.harness.scheduler import (
     ShardPaths,
     _publish_done,
     _read_done_keys,
+    _read_new_records,
     bump_attempts,
     cell_hash,
     lease_path,
     load_recovery_events,
-    merge_shard_records,
     read_attempts,
     read_lease,
     refresh_lease,
@@ -163,8 +163,14 @@ class TestShardMerge:
             measures={"accuracy": 1.0}, similarity_time=0.1,
             assignment_time=0.1)
 
+    @staticmethod
+    def _merged(paths, workers, fingerprint):
+        records = {}
+        _read_new_records(paths, workers, fingerprint, {}, records)
+        return records
+
     def test_merge_dedupes_first_shard_wins(self, tmp_path):
-        paths = ShardPaths(tmp_path / "J", 2)
+        paths = ShardPaths(tmp_path / "J")
         fp = "fp"
         s0 = RunJournal(paths.shard(0), fingerprint=fp)
         s0.append("k1", self._record("isorank"))
@@ -173,47 +179,38 @@ class TestShardMerge:
         s1.append("k1", self._record("nsd"))  # duplicate key
         s1.append("k2", self._record("nsd"))
         s1.close()
-        merged = merge_shard_records(paths, fp)
+        merged = self._merged(paths, 2, fp)
         assert set(merged) == {"k1", "k2"}
         assert merged["k1"].algorithm == "isorank"
 
     def test_merge_does_not_truncate_live_shards(self, tmp_path):
         """Reading another worker's shard mid-append must never mutate
         it — the torn tail belongs to its (live) owner."""
-        paths = ShardPaths(tmp_path / "J", 1)
+        paths = ShardPaths(tmp_path / "J")
         journal = RunJournal(paths.shard(0), fingerprint="fp")
         journal.append("k1", self._record("isorank"))
         journal.close()
         with open(paths.shard(0), "a") as handle:
             handle.write('{"kind": "record", "key": "k2"')  # mid-append
         size_before = paths.shard(0).stat().st_size
-        merged = merge_shard_records(paths, "fp")
+        merged = self._merged(paths, 1, "fp")
         assert set(merged) == {"k1"}
         assert paths.shard(0).stat().st_size == size_before
 
     def test_merge_rejects_foreign_fingerprint(self, tmp_path):
-        paths = ShardPaths(tmp_path / "J", 1)
+        paths = ShardPaths(tmp_path / "J")
         journal = RunJournal(paths.shard(0), fingerprint="theirs")
         journal.append("k1", self._record("isorank"))
         journal.close()
         with pytest.raises(ExperimentError, match="different experiment"):
-            merge_shard_records(paths, "ours")
-
-    def test_merge_sees_shards_from_wider_previous_run(self, tmp_path):
-        """Resuming with fewer shards still reads every old shard file."""
-        paths_wide = ShardPaths(tmp_path / "J", 4)
-        s3 = RunJournal(paths_wide.shard(3), fingerprint="fp")
-        s3.append("k1", self._record("isorank"))
-        s3.close()
-        merged = merge_shard_records(ShardPaths(tmp_path / "J", 2), "fp")
-        assert set(merged) == {"k1"}
+            self._merged(paths, 1, "ours")
 
 
 class TestDoneMarkers:
     def test_done_keys_are_counted_by_marker_name(self, tmp_path):
         # A marker whose content was lost still counts; a publish's temp
         # leftover and a marker for a key outside the sweep do not.
-        paths = ShardPaths(tmp_path / "run.jsonl", 1)
+        paths = ShardPaths(tmp_path / "run.jsonl")
         paths.ensure_dirs()
         sweep = [cell_key("pl", "one-way", level, 0, name)
                  for level in (0.0, 0.02) for name in ("isorank", "nsd")]
@@ -231,20 +228,20 @@ class TestShardedSweep:
         serial = run_experiment(ExperimentConfig(**BASE_CONFIG),
                                 {"pl": GRAPH})
         sharded = run_experiment(
-            ExperimentConfig(shards=3, **BASE_CONFIG), {"pl": GRAPH},
+            ExperimentConfig(workers=3, **BASE_CONFIG), {"pl": GRAPH},
             journal=str(tmp_path / "J"))
         assert canonical(sharded) == canonical(serial)
 
     def test_progress_reports_every_cell_once(self, tmp_path):
         seen = []
         table = run_experiment(
-            ExperimentConfig(shards=2, **BASE_CONFIG), {"pl": GRAPH},
+            ExperimentConfig(workers=2, **BASE_CONFIG), {"pl": GRAPH},
             journal=str(tmp_path / "J"), progress=seen.append)
         assert len(seen) == len(table) == 4
         assert len(set(seen)) == 4
 
     def test_resume_is_pure_replay(self, tmp_path):
-        config = ExperimentConfig(shards=2, **BASE_CONFIG)
+        config = ExperimentConfig(workers=2, **BASE_CONFIG)
         first = run_experiment(config, {"pl": GRAPH},
                                journal=str(tmp_path / "J"))
         seen = []
@@ -269,7 +266,7 @@ class TestShardedSweep:
         serial = cache_counters(run_experiment(ExperimentConfig(**config),
                                                {"pl": GRAPH}))
         sharded = cache_counters(run_experiment(
-            ExperimentConfig(shards=2, **config), {"pl": GRAPH},
+            ExperimentConfig(workers=2, **config), {"pl": GRAPH},
             journal=str(tmp_path / "J")))
         assert sharded == serial
         assert all(hits > 0 for (name, _), (hits, _) in serial.items()
@@ -289,45 +286,6 @@ class TestShardedSweep:
         assert sorted(r.algorithm for r in failed) == ["isorank", "nsd"]
         assert all(r.noise_level > 0 for r in failed)
         assert all(r.error.startswith("ValueError: no pair") for r in failed)
-
-    def test_sharded_requires_journal_path(self):
-        config = ExperimentConfig(shards=2, **BASE_CONFIG)
-        with pytest.raises(ExperimentError, match="journal path"):
-            run_experiment(config, {"pl": GRAPH})
-
-    def test_sharded_rejects_open_journal_object(self, tmp_path):
-        config = ExperimentConfig(shards=2, **BASE_CONFIG)
-        journal = RunJournal(tmp_path / "J",
-                             fingerprint=config_fingerprint(config))
-        with pytest.raises(ExperimentError, match="path"):
-            run_experiment(config, {"pl": GRAPH}, journal=journal)
-
-    def test_shards_and_workers_mutually_exclusive(self):
-        with pytest.raises(ExperimentError, match="alternative fan-out"):
-            ExperimentConfig(shards=2, workers=2, **BASE_CONFIG)
-
-    def test_startup_reclaims_dead_previous_leases(self, tmp_path):
-        """A lease left by a crashed previous run (dead pid) must be
-        reclaimed at startup, recorded, and its cell completed."""
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        config = ExperimentConfig(shards=2, **BASE_CONFIG)
-        paths = ShardPaths(tmp_path / "J", 2)
-        paths.ensure_dirs()
-        key = "pl|one-way|0.000000|0|isorank"
-        stale = Lease(key=key, pid=child.pid, host=__import__("socket")
-                      .gethostname(), attempt=1, acquired_at=time.time(),
-                      heartbeat=time.time())
-        lease_path(paths.lease_dir, key).write_text(stale.to_json())
-        table = run_experiment(config, {"pl": GRAPH},
-                               journal=str(tmp_path / "J"))
-        assert len(table) == 4
-        assert all(not r.failed for r in table.records)
-        events = load_recovery_events(tmp_path / "J")
-        reclaims = [e for e in events if e["kind"] == "lease_reclaimed"]
-        assert any(e["key"] == key and e["reason"] == "dead_pid"
-                   and e.get("at_startup") for e in reclaims)
-        assert read_attempts(paths.lease_dir, key) == 1
 
     def test_workers_sweep_removes_dead_supervisors_scratch(
             self, tmp_path, monkeypatch):
@@ -349,23 +307,21 @@ class TestShardedSweep:
         assert list(tmp_path.glob(f"{prefix}{os.getpid()}-*")) == [live]
 
     def test_orphan_attempt_bound_yields_failed_record(self, tmp_path):
-        """A cell whose attempts tombstone already exceeds the bound is
-        recorded as failed instead of crash-looping the fleet."""
-        config = ExperimentConfig(shards=2, **BASE_CONFIG)
-        paths = ShardPaths(tmp_path / "J", 2)
-        paths.ensure_dirs()
-        key = "pl|one-way|0.000000|0|isorank"
-        for _ in range(3):  # DEFAULT_ORPHAN_ATTEMPTS (no retry policy set)
-            bump_attempts(paths.lease_dir, key)
-        table = run_experiment(config, {"pl": GRAPH},
-                               journal=str(tmp_path / "J"))
-        doomed = [r for r in table.records
-                  if r.algorithm == "isorank" and r.noise_level == 0.0]
-        assert len(doomed) == 1 and doomed[0].failed
-        assert "orphaned" in doomed[0].error
-        assert doomed[0].attempts == 3
-        others = [r for r in table.records if r is not doomed[0]]
-        assert all(not r.failed for r in others)
+        """A cell whose worker dies on every attempt is recorded as failed
+        once it has been orphaned as often as the bound allows, instead
+        of crash-looping the fleet; the rest of the sweep is unharmed."""
+        spec = FaultSpec(mode="kill_worker", on_call=None)
+        with inject_fault("isorank", spec):
+            table = run_experiment(ExperimentConfig(workers=2, **BASE_CONFIG),
+                                   {"pl": GRAPH}, journal=str(tmp_path / "J"))
+        doomed = [r for r in table.records if r.algorithm == "isorank"]
+        assert len(doomed) == 2
+        for record in doomed:
+            assert record.failed
+            assert "orphaned 3 times" in record.error
+            assert record.attempts == 3  # DEFAULT_ORPHAN_ATTEMPTS
+        others = [r for r in table.records if r.algorithm == "nsd"]
+        assert len(others) == 2 and all(not r.failed for r in others)
 
 
 class TestRecoveryEventLog:
@@ -373,7 +329,7 @@ class TestRecoveryEventLog:
         assert load_recovery_events(tmp_path / "nowhere") == []
 
     def test_torn_tail_tolerated(self, tmp_path):
-        paths = ShardPaths(tmp_path / "J", 1)
+        paths = ShardPaths(tmp_path / "J")
         paths.events_path.write_text(
             json.dumps({"kind": "lease_reclaimed", "time": 1.0}) + "\n"
             + '{"kind": "lease_re')
@@ -459,7 +415,7 @@ class TestEventLogRotation:
 
     def test_load_recovery_events_spans_rotated_segments(self, tmp_path):
         from repro.harness.scheduler import EventLog
-        paths = ShardPaths(tmp_path / "J", 1)
+        paths = ShardPaths(tmp_path / "J")
         paths.ensure_dirs()
         log = EventLog(paths.events_path, max_bytes=256, max_segments=100)
         for index in range(40):
@@ -472,7 +428,7 @@ class TestEventLogRotation:
 
 
 WORKER_DRAIN_DRIVER = """\
-import sys, time
+import os, sys, time
 from pathlib import Path
 from repro.graphs import powerlaw_cluster_graph
 from repro.harness import ExperimentConfig, config_fingerprint
@@ -480,10 +436,9 @@ from repro.harness.scheduler import ShardPaths, _shard_worker_main
 from repro.noise import make_pair
 
 base = sys.argv[1]
-ShardPaths(base, 1).ensure_dirs()  # normally the supervisor's job
+ShardPaths(base).ensure_dirs()  # normally the supervisor's job
 config = ExperimentConfig(name="drain", algorithms=["isorank"],
-                          noise_levels=(0.0,), repetitions=1, seed=7,
-                          shards=1)
+                          noise_levels=(0.0,), repetitions=1, seed=7)
 graph = powerlaw_cluster_graph(40, 3, 0.3, seed=5)
 
 def stalling_factory(graph, noise_type, level, seed):
@@ -492,7 +447,7 @@ def stalling_factory(graph, noise_type, level, seed):
     return make_pair(graph, noise_type, level, seed=seed)
 
 _shard_worker_main(0, base, config, {"pl": graph}, stalling_factory,
-                   config_fingerprint(config))
+                   config_fingerprint(config), os.getppid())
 """
 
 
@@ -518,7 +473,96 @@ class TestWorkerSigtermDrain:
             assert worker.wait(timeout=60) == 0, worker.stderr.read()
         finally:
             worker.kill()
-        paths = ShardPaths(base, 1)
+        paths = ShardPaths(base)
         assert list(paths.lease_dir.glob("*.lease")) == []
         key = "pl|one-way|0.000000|0|isorank"
         assert read_attempts(paths.lease_dir, key) == 1
+
+
+# A workers=2 sweep of 100 instances, each ~0.2 s of pair building (about
+# 10 s in all); every worker records its pid when it starts an instance.
+ORPHAN_SUPERVISOR = """\
+import os, sys, time
+from pathlib import Path
+from repro.graphs import powerlaw_cluster_graph
+from repro.harness import ExperimentConfig, run_experiment
+from repro.noise import make_pair
+
+pids = Path(sys.argv[1])
+
+def slow_factory(graph, noise_type, level, seed):
+    (pids / str(os.getpid())).touch()
+    time.sleep(0.2)
+    return make_pair(graph, noise_type, level, seed=seed)
+
+config = ExperimentConfig(name="orphans", algorithms=["isorank"],
+                          noise_levels=tuple(i / 100 for i in range(50)),
+                          repetitions=2, seed=7, workers=2)
+run_experiment(config, {"pl": powerlaw_cluster_graph(20, 3, 0.3, seed=5)},
+               pair_factory=slow_factory)
+"""
+
+# Becomes a child subreaper, starts the supervisor, SIGKILLs it once both
+# workers run, then reaps the orphans it adopts.  Exit 0: every orphan
+# exited within the grace period; 1: some were still running; 3: the
+# workers never started; 77: no prctl here.
+SUBREAPER_DRIVER = """\
+import ctypes, os, signal, subprocess, sys, time
+
+PR_SET_CHILD_SUBREAPER = 36
+try:
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+except (OSError, AttributeError):
+    sys.exit(77)
+prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong,
+                  ctypes.c_ulong, ctypes.c_ulong]
+prctl.restype = ctypes.c_int
+if prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
+    sys.exit(77)
+
+pids, supervisor_script, grace = sys.argv[1], sys.argv[2], float(sys.argv[3])
+supervisor = subprocess.Popen([sys.executable, "-c", supervisor_script, pids])
+deadline = time.time() + 60
+while time.time() < deadline and len(os.listdir(pids)) < 2:
+    time.sleep(0.02)
+workers = [int(name) for name in os.listdir(pids)]
+supervisor.kill()
+supervisor.wait()
+deadline = time.time() + grace
+while time.time() < deadline:
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        sys.exit(0 if len(workers) >= 2 else 3)
+    if pid == 0:
+        time.sleep(0.02)
+for pid in workers:
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except OSError:
+        pass
+sys.exit(1)
+"""
+
+
+class TestOrphanedWorkers:
+    def test_workers_stop_when_supervisor_dies_under_a_subreaper(
+            self, tmp_path):
+        """A SIGKILLed supervisor's workers are re-parented to the nearest
+        child subreaper, not to init, and must still stop within a cell
+        instead of working through the rest of the sweep."""
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        env = dict(os.environ, TMPDIR=str(tmp_path))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                                   if env.get("PYTHONPATH") else "")
+        driver = subprocess.run(
+            [sys.executable, "-c", SUBREAPER_DRIVER, str(pids),
+             ORPHAN_SUPERVISOR, "3.0"],
+            env=env, capture_output=True, text=True, timeout=120)
+        if driver.returncode == 77:
+            pytest.skip("prctl(PR_SET_CHILD_SUBREAPER) is unavailable")
+        assert driver.returncode == 0, (
+            f"exit {driver.returncode}: orphaned workers outlived their "
+            f"supervisor by 3 s\n{driver.stderr}")

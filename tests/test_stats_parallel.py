@@ -1,8 +1,8 @@
 """Execution-identity and crash-resume guarantees of the statistics layer.
 
 The contract under test: statistics are **bit-identical** however the
-sweep behind them was executed — serial, on ``workers``, over
-``shards`` — and when resumed after a SIGKILL, because every resample
+sweep behind them was executed — serial, or on ``workers`` with or
+without a journal — and when resumed after a SIGKILL, because every resample
 flows from a derived seed through chunk-indexed RNG streams.  The
 SIGKILL test drives a real child interpreter, exactly like the sweep's
 own resume-integration suite.
@@ -47,21 +47,21 @@ class TestSweepExecutionIdentity:
         serial = run_experiment(ExperimentConfig(**SWEEP), {"pl": GRAPH})
         pooled = run_experiment(ExperimentConfig(workers=4, **SWEEP),
                                 {"pl": GRAPH})
-        sharded = run_experiment(
-            ExperimentConfig(shards=2, **SWEEP), {"pl": GRAPH},
-            journal=str(tmp_path / "sharded.jsonl"))
+        journaled = run_experiment(
+            ExperimentConfig(workers=2, **SWEEP), {"pl": GRAPH},
+            journal=str(tmp_path / "run.jsonl"))
         assert serial.stats is not None
         assert (_stats_dump(serial.stats) == _stats_dump(pooled.stats)
-                == _stats_dump(sharded.stats))
+                == _stats_dump(journaled.stats))
 
     def test_sharded_sweep_writes_stats_sidecar(self, tmp_path):
         journal = tmp_path / "run.jsonl"
-        table = run_experiment(ExperimentConfig(shards=2, **SWEEP),
+        table = run_experiment(ExperimentConfig(workers=2, **SWEEP),
                                {"pl": GRAPH}, journal=str(journal))
         sidecar = stats_journal_path(journal)
         assert sidecar.exists()
-        # The CLI reads the sharded journal through the shard merger and
-        # resumes from the very same side-car.
+        # The CLI reads the journal the supervisor wrote and resumes from
+        # the very same side-car.
         import io
         from repro.cli import main
         out = io.StringIO()
