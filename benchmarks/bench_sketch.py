@@ -1,11 +1,16 @@
-"""Sketched spectral kernels: accuracy cost, speedup, and the scale gate.
+"""Sketch policy on GRASP: accuracy cost, speedup, and the scale gates.
 
 Not a paper artifact: this bench guards the contract of ``repro.sketch``
-(see docs/api.md, "Sketched kernels & sparse similarity").  Three layers:
+(see docs/api.md, "Sketched kernels & sparse similarity").  Under a
+policy GRASP keeps its exact eigensolver (one deflated Lanczos solve
+per graph) and swaps the dense similarity for a sparse top-k one.
+Three layers:
 
-* ``test_sketch_accuracy_speedup`` (always on) compares exact and
-  sketched GRASP end to end on a mid-size graph: eigenvalue error,
-  alignment-accuracy delta, and wall-clock speedup, reported per stage.
+* ``test_sketch_accuracy_speedup`` (always on) compares GRASP with and
+  without a policy end to end on a mid-size graph, at zero noise (where
+  the exact path aligns all but a few nodes of the planted graph, so the
+  sparse path must too: accuracy >= 0.99) and at 1% noise: accuracy
+  delta and wall-clock speedup.
 * ``test_sketch_scale_guarantee`` (``REPRO_SKETCH_SCALE=1``) aligns a
   >=50k-node pair under a sketch policy and **asserts** from the trace
   counters that zero dense n x n similarities were materialized above
@@ -14,9 +19,7 @@ Not a paper artifact: this bench guards the contract of ``repro.sketch``
 * ``test_sketch_memory_acceptance`` (``REPRO_SKETCH_SCALE=1``) is the
   memory gate: a 100k-node alignment inside a budgeted child capped at
   4 GiB of address space — a single dense float64 similarity at that
-  size would need 80 GB, so finishing proves the 4 GiB memory bound and
-  nothing else.  It says nothing about alignment quality: the accuracy
-  it reports is near zero.
+  size would need 80 GB, so finishing proves the 4 GiB memory bound.
 """
 
 import os
@@ -32,7 +35,6 @@ from repro.harness import CellBudget, run_cell, run_cell_with_budget
 from repro.noise import make_pair
 from repro.observability import counter_totals
 from repro.sketch import SketchPolicy, sketching
-from repro.spectral import laplacian_eigenpairs
 
 _SCALE = os.environ.get("REPRO_SKETCH_SCALE") == "1"
 needs_scale = pytest.mark.skipif(
@@ -40,10 +42,7 @@ needs_scale = pytest.mark.skipif(
 
 
 def _community_graph(blocks, size, seed=7):
-    """Planted communities: a real spectral gap after ``blocks``
-    eigenvalues — the regime the sketched kernel is built for (on
-    gapless spectra, e.g. pure powerlaw graphs, the trailing
-    eigenvectors are ill-conditioned for *any* truncated method)."""
+    """Planted communities joined by a few random edges."""
     from repro.graphs import Graph
     rng = np.random.default_rng(seed)
     edges = []
@@ -63,76 +62,72 @@ def _community_graph(blocks, size, seed=7):
     return Graph(blocks * size, edges)
 
 
+def _assert_sparse_grasp_path(record):
+    """The cell under a policy must solve each graph's eigenpairs exactly
+    once and take the sparse top-k similarity...  and never fall off
+    that path."""
+    assert not record.failed, record.error
+    totals = counter_totals(record.trace)
+    assert totals.get("eigensolver_calls", 0) == 2
+    assert totals.get("similarity_topk", 0) > 0
+    assert totals.get("dense_bypass", 0) == 0
+    assert totals.get("assignment_densified", 0) == 0
+    return totals
+
+
 def _run_accuracy(profile):
     n = max(1200, profile.synthetic_nodes)
     graph = _community_graph(blocks=12, size=n // 12, seed=7)
     n = graph.num_nodes
-    pair = make_pair(graph, "one-way", 0.01, seed=7)
     policy = SketchPolicy(threshold=600)
-
-    start = time.perf_counter()
-    vals_exact, vecs_exact = laplacian_eigenpairs(graph, k=10)
-    eig_exact_time = time.perf_counter() - start
-    with sketching(policy):
+    rows = {}
+    for level in (0.0, 0.01):
+        pair = make_pair(graph, "one-way", level, seed=7)
         start = time.perf_counter()
-        vals_sketch, vecs_sketch = laplacian_eigenpairs(graph, k=10)
-        eig_sketch_time = time.perf_counter() - start
-    val_err = float(np.abs(vals_exact - vals_sketch).max())
-    cos = np.linalg.svd(np.linalg.qr(vecs_exact)[0].T
-                        @ np.linalg.qr(vecs_sketch)[0], compute_uv=False)
-
-    start = time.perf_counter()
-    exact = run_cell("grasp", pair, "pl", 0, assignment="sg",
-                     measures=("accuracy",), context=RunContext(trace=True))
-    exact_time = time.perf_counter() - start
-    start = time.perf_counter()
-    sketched = run_cell("grasp", pair, "pl", 0, assignment="sg",
-                        measures=("accuracy",),
-                        context=RunContext(sketch=policy, trace=True))
-    sketch_time = time.perf_counter() - start
-    assert not exact.failed and not sketched.failed
-    totals = counter_totals(sketched.trace)
-    # The sketched cell must actually take the sketched + sparse path...
-    assert totals.get("sketched_kernels", 0) >= 2
-    assert totals.get("similarity_topk", 0) > 0
-    # ...and never fall off it.
-    assert totals.get("dense_bypass", 0) == 0
-    assert totals.get("assignment_densified", 0) == 0
-    return {
-        "n": n,
-        "eig": (eig_exact_time, eig_sketch_time, val_err, float(cos.min())),
-        "cell": (exact_time, sketch_time,
-                 exact.measures["accuracy"], sketched.measures["accuracy"]),
-    }
+        exact = run_cell("grasp", pair, "pl", 0, assignment="sg",
+                         measures=("accuracy",),
+                         context=RunContext(trace=True))
+        exact_time = time.perf_counter() - start
+        start = time.perf_counter()
+        sketched = run_cell("grasp", pair, "pl", 0, assignment="sg",
+                            measures=("accuracy",),
+                            context=RunContext(sketch=policy, trace=True))
+        sketch_time = time.perf_counter() - start
+        assert not exact.failed, exact.error
+        _assert_sparse_grasp_path(sketched)
+        rows[level] = (exact_time, sketch_time, exact.measures["accuracy"],
+                       sketched.measures["accuracy"])
+    # Zero noise: the sparse path must still recover the planted graph.
+    assert rows[0.0][3] >= 0.99, rows[0.0]
+    return {"n": n, "rows": rows}
 
 
 def test_sketch_accuracy_speedup(benchmark, profile, results_dir):
     out = benchmark.pedantic(_run_accuracy, args=(profile,),
                              rounds=1, iterations=1)
-    ee, es, verr, mincos = out["eig"]
-    ce, cs, acc_e, acc_s = out["cell"]
     lines = [
-        f"planted-community graph (12 blocks), n={out['n']}, grasp k=10, "
-        "sketch threshold=600 (rsvd, top-10 sparse similarity)",
+        f"planted-community graph (12 blocks), n={out['n']}, grasp k=20, "
+        "sketch threshold=600 (exact eigenpairs, top-10 sparse similarity)",
         "",
         "sketching is a memory play, not a speed play at this size: the",
         "exact path is fast here but needs the dense n x n similarity",
         "that the budget caps forbid at scale (see sketch_acceptance).",
         "",
-        f"{'stage':>22s} {'exact[s]':>9s} {'sketch[s]':>10s} "
-        f"{'speedup':>8s} {'fidelity':>24s}",
-        f"{'eigenpairs (k=10)':>22s} {ee:>9.3f} {es:>10.3f} "
-        f"{ee / es if es > 0 else float('inf'):>7.1f}x "
-        f"{f'|dval|={verr:.1e} cos={mincos:.4f}':>24s}",
-        f"{'grasp cell (sg)':>22s} {ce:>9.3f} {cs:>10.3f} "
-        f"{ce / cs if cs > 0 else float('inf'):>7.1f}x "
-        f"{f'acc {acc_e:.3f} -> {acc_s:.3f}':>24s}",
+        f"{'grasp cell (sg)':>22s} {'exact[s]':>9s} {'sketch[s]':>10s} "
+        f"{'speedup':>8s} {'accuracy':>24s}",
+    ]
+    for level, (ce, cs, acc_e, acc_s) in sorted(out["rows"].items()):
+        lines.append(
+            f"{f'noise {level:.2f}':>22s} {ce:>9.3f} {cs:>10.3f} "
+            f"{ce / cs if cs > 0 else float('inf'):>7.1f}x "
+            f"{f'{acc_e:.4f} -> {acc_s:.4f}':>24s}")
+    lines += [
         "",
         paper_note(
             "harness-level scalability layer, not a paper artifact: the "
             "paper runs every algorithm exact under a 3h/256GB budget; "
-            "sketching trades bounded spectral error for the memory "
-            "headroom those budgets assumed"
+            "the sparse similarity trades a bounded candidate set for the "
+            "memory headroom those budgets assumed"
         ),
     ]
     emit(results_dir, "sketch", "\n".join(lines))
@@ -149,12 +144,7 @@ def test_sketch_scale_guarantee(results_dir):
                       measures=("accuracy",),
                       context=RunContext(sketch=SketchPolicy(), trace=True))
     elapsed = time.perf_counter() - start
-    assert not record.failed, record.error
-    totals = counter_totals(record.trace)
-    assert totals.get("dense_bypass", 0) == 0
-    assert totals.get("assignment_densified", 0) == 0
-    assert totals.get("sketched_kernels", 0) >= 2
-    assert totals.get("similarity_topk", 0) > 0
+    totals = _assert_sparse_grasp_path(record)
     lines = [
         f"scale gate: grasp on n={n} powerlaw pair, sketch defaults",
         f"wall time        {elapsed:10.1f} s",
@@ -162,7 +152,8 @@ def test_sketch_scale_guarantee(results_dir):
         f"dense_bypass     {totals.get('dense_bypass', 0):10d}  (must be 0)",
         f"densified        {totals.get('assignment_densified', 0):10d}"
         "  (must be 0)",
-        f"sketched_kernels {totals.get('sketched_kernels', 0):10d}",
+        f"eigensolves      {totals.get('eigensolver_calls', 0):10d}"
+        "  (must be 2)",
     ]
     emit(results_dir, "sketch_scale", "\n".join(lines))
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 import numpy as np
@@ -365,6 +366,7 @@ def _cmd_experiment(args, out) -> int:
         sketch=args.sketch,
         sketch_threshold=args.sketch_threshold,
     )
+    started = time.time()
     table = run_experiment(config, {args.dataset: graph},
                            journal=args.journal)
     recovery_events = None
@@ -373,7 +375,10 @@ def _cmd_experiment(args, out) -> int:
                   f"rerun with the same --journal to resume)\n")
     if args.journal and args.workers > 1:
         from repro.harness.scheduler import load_recovery_events
-        recovery_events = load_recovery_events(args.journal)
+        # The log is appended by every run journaled at this path; count
+        # only the events of this one.
+        recovery_events = [e for e in load_recovery_events(args.journal)
+                           if e.get("time", 0.0) >= started]
         reclaims = sum(1 for e in recovery_events
                        if e.get("kind") == "lease_reclaimed")
         respawns = sum(1 for e in recovery_events

@@ -41,12 +41,6 @@ from repro.graphs.matrices import (
     row_stochastic,
 )
 from repro.graphs.io import read_edgelist, write_edgelist
-from repro.graphs.kcore import (
-    all_pairs_hop_distance,
-    average_shortest_path_length,
-    core_numbers,
-    k_core,
-)
 from repro.graphs.properties import (
     average_clustering,
     clustering_coefficient,
@@ -94,8 +88,4 @@ __all__ = [
     "degree_gini",
     "effective_diameter",
     "graph_summary",
-    "core_numbers",
-    "k_core",
-    "all_pairs_hop_distance",
-    "average_shortest_path_length",
 ]

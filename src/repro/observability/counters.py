@@ -55,7 +55,7 @@ KNOWN_COUNTERS = {
     "bootstrap_resamples":
         "bootstrap resamples drawn for confidence intervals",
     "sketched_kernels":
-        "spectral/embedding bases computed via randomized sketches",
+        "embedding bases computed via randomized sketches",
     "sketch_rank": "total rank of the sketched bases computed",
     "similarity_topk": "per-row candidate budget of sparse top-k similarity",
     "assignment_densified":

@@ -1,18 +1,18 @@
 """Sketching policy: when to trade exact kernels for randomized ones.
 
-The eigendecomposition and the dense ``n x n`` similarity matrix are the
-two scaling walls the paper's §7 time/memory sweeps expose.  Above a size
-threshold this module's policy switches the spectral/embedding substrate
-to *sketched* kernels (randomized SVD, :mod:`repro.spectral.sketch`) and
-the similarity stage to a *sparse* top-k representation
-(:mod:`repro.embedding.topk`), which together keep peak memory linear in
-the graph size.
+The dense ``n x n`` similarity matrix is the scaling wall the paper's §7
+time/memory sweeps expose.  Above a size threshold this module's policy
+switches the embedding substrate to *sketched* kernels (the randomized
+SVD behind NetMF, :mod:`repro.spectral.sketch`) and the similarity stage
+to a *sparse* top-k representation (:mod:`repro.embedding.topk`), which
+together keep peak memory linear in the graph size.  The Laplacian
+eigenpairs stay exact under a policy: a deflated Lanczos solve is both
+exact and cheaper than any sketch of them.
 
 The policy is one number, its threshold.  Everything else a sketch needs
-is fixed: each consumer sketches at its natural rank (its ``k``
-eigenpairs or ``dim`` embedding columns) with :data:`OVERSAMPLING` extra
-probe columns and :data:`POWER_ITERS` subspace iterations (the spectral
-consumer raises both to its own floors), and the sparse similarity stage
+is fixed: NetMF sketches at its natural rank (its ``dim`` embedding
+columns) with :data:`OVERSAMPLING` extra probe columns and
+:data:`POWER_ITERS` subspace iterations, and the sparse similarity stage
 keeps :data:`SIMILARITY_TOPK` candidates per source row.
 
 The policy is the ``sketch`` field of the current

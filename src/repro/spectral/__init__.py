@@ -1,9 +1,10 @@
 """Spectral substrate: Laplacian eigendecompositions and heat kernels.
 
-GRASP (and the analysis tooling) are built on the eigenpairs of the
-normalized Laplacian.  This package wraps dense and sparse eigensolvers
-behind one call, applies deterministic sign fixing, and evaluates
-heat-kernel diagonals from a truncated eigenbasis.
+GRASP is built on the eigenpairs of the normalized Laplacian.  This
+package wraps a dense solver and a deflated Lanczos solver behind one
+call, applies deterministic sign fixing, and evaluates heat-kernel
+diagonals from a truncated eigenbasis.  It also holds the randomized
+SVD behind the sketched NetMF embedding.
 """
 
 from repro.spectral.decomposition import (
@@ -11,25 +12,12 @@ from repro.spectral.decomposition import (
     heat_kernel_diagonals,
     laplacian_eigenpairs,
 )
-from repro.spectral.netlsd import (
-    default_timescales,
-    netlsd_distance,
-    netlsd_signature,
-)
-from repro.spectral.sketch import (
-    randomized_eigh,
-    randomized_svd,
-    sketch_seed,
-)
+from repro.spectral.sketch import randomized_svd, sketch_seed
 
 __all__ = [
     "laplacian_eigenpairs",
     "fix_signs",
     "heat_kernel_diagonals",
-    "netlsd_signature",
-    "netlsd_distance",
-    "default_timescales",
     "randomized_svd",
-    "randomized_eigh",
     "sketch_seed",
 ]

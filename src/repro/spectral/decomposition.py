@@ -4,8 +4,11 @@ Eigenvectors of a graph Laplacian are only defined up to sign (and up to
 rotation inside eigenspaces of repeated eigenvalues); spectral alignment
 methods must pin these gauges down.  :func:`fix_signs` applies the standard
 deterministic convention — make the entry of largest magnitude positive —
-which is enough for the benchmark graphs, whose spectra are simple almost
-surely.
+which is enough for the benchmark graphs, whose non-zero spectra are simple
+almost surely.  The zero eigenvalue repeats once per connected component;
+above the dense cutoff its eigenspace gets the closed-form basis
+``D^½·1_C`` (one column per component, in component order), so the gauge
+there is fixed too.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from repro.cache import cached_artifact
 from repro.diagnostics import record_diagnostic
@@ -22,8 +26,7 @@ from repro.exceptions import AlgorithmError
 from repro.observability import add_counter
 from repro.graphs.graph import Graph
 from repro.graphs.matrices import normalized_laplacian
-from repro.sketch import sketch_policy_for
-from repro.spectral.sketch import randomized_eigh, sketch_seed
+from repro.spectral.sketch import sketch_seed
 
 __all__ = ["laplacian_eigenpairs", "fix_signs", "heat_kernel_diagonals"]
 
@@ -33,24 +36,6 @@ _DENSE_CUTOFF = 600
 # Entries within this relative distance of a column's peak magnitude are
 # treated as tied when fixing signs (see fix_signs).
 _TIE_RTOL = 1e-12
-
-# Sketch parameters of the *spectral* consumer, raised above the general
-# defaults (repro.sketch.OVERSAMPLING, POWER_ITERS).  The companion kernel
-# 2I - L has a nearly flat top spectrum (its dominant eigenvalues sit
-# just under 2 while the bulk sits near 1), so the range finder needs
-# more subspace iterations to separate them — and unlike the NetMF
-# passes, a Laplacian matvec is a cheap sparse product, so the extra
-# passes are nearly free.
-_SPECTRAL_POWER_ITERS = 8
-_SPECTRAL_OVERSAMPLING = 16
-
-# Floor on the Ritz-space width.  Benchmark-graph spectra cluster near
-# the bottom (ring and powerlaw families have no gap at small k), so a
-# Rayleigh-Ritz projection only k wide cannot separate the k-th vector
-# from its near-degenerate neighbours — a 128-wide space recovers
-# alignment-accuracy parity with the exact solver at per-column cost of
-# one sparse matvec.  Clamped for graphs barely above the dense cutoff.
-_SPECTRAL_MIN_RANK = 128
 
 
 def fix_signs(eigenvectors: np.ndarray) -> np.ndarray:
@@ -77,13 +62,75 @@ def fix_signs(eigenvectors: np.ndarray) -> np.ndarray:
     return vecs * signs[np.newaxis, :]
 
 
+def _null_space_basis(graph: Graph) -> np.ndarray:
+    """Orthonormal ``(n, c)`` basis of the normalized Laplacian's null space.
+
+    One column per connected component ``C``, in the order
+    ``scipy.sparse.csgraph.connected_components`` labels them (by lowest
+    node index): the unit vector ``D^½·1_C``, or ``e_i`` for an isolated
+    node ``i`` (whose Laplacian row is all zero).
+    """
+    count, labels = connected_components(graph.adjacency(), directed=False)
+    deg = graph.degrees.astype(np.float64)
+    basis = np.zeros((graph.num_nodes, count))
+    basis[np.arange(graph.num_nodes), labels] = np.where(
+        deg > 0, np.sqrt(deg), 1.0)
+    return basis / np.linalg.norm(basis, axis=0)
+
+
+def _lanczos_eigenpairs(graph: Graph, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``k`` smallest eigenpairs by Lanczos on the deflated companion.
+
+    The normalized Laplacian's spectrum lies in ``[0, 2]``, so L's
+    smallest eigenpairs are the *largest* of ``2I - L`` (``λ = 2 - θ``),
+    which plain Lanczos finds without a shift-invert factorization.  The
+    null space is known in closed form (:func:`_null_space_basis`), and a
+    single Krylov vector cannot resolve its multiplicity, so it is
+    deflated: ``2I - L - 2ZZᵀ`` moves those eigenvalues from 2 to 0.
+    """
+    n = graph.num_nodes
+    null = _null_space_basis(graph)
+    c = null.shape[1]
+    if c >= k:
+        return np.zeros(k), null[:, :k]
+    lap = normalized_laplacian(graph)
+    companion = LinearOperator(
+        (n, n), dtype=np.float64,
+        matvec=lambda x: 2.0 * x - lap @ x - 2.0 * (null @ (null.T @ x)))
+    # ARPACK's default start vector comes from per-process random state;
+    # one seeded by the graph keeps the solve a pure function of
+    # (graph, k), as a cached producer must be.
+    v0 = np.random.default_rng(sketch_seed(
+        graph.content_digest(), artifact="laplacian_eigenpairs", k=k,
+    )).uniform(-1.0, 1.0, n)
+    v0 -= null @ (null.T @ v0)
+    try:
+        thetas, vecs = eigsh(companion, k=k - c, which="LA", v0=v0,
+                             ncv=max(60, 2 * (k - c) + 1), tol=1e-10)
+    except ArpackError as exc:
+        # Lanczos breakdown or no convergence: fall back to dense.  Any
+        # other error — a shape error or a caller bug — propagates.
+        record_diagnostic(
+            "spectral", "eigsh_failure",
+            f"sparse eigsh failed on n={n}, k={k} "
+            f"({type(exc).__name__}: {exc}); dense eigh fallback",
+            fallback_used="dense_eigh",
+        )
+        vals, vecs = eigh(lap.toarray())
+        return vals[:k], vecs[:, :k]
+    order = np.argsort(-thetas)  # descending θ = ascending λ
+    return (np.concatenate([np.zeros(c), 2.0 - thetas[order]]),
+            np.hstack([null, vecs[:, order]]))
+
+
 def laplacian_eigenpairs(graph: Graph, k: int | None = None) -> Tuple[np.ndarray, np.ndarray]:
     """Smallest ``k`` eigenpairs of the normalized Laplacian.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
     eigenvector signs fixed.  ``k=None`` (or ``k >= n``) computes the full
-    spectrum with a dense solver; otherwise a sparse Lanczos solve is used
-    for large graphs.
+    spectrum with a dense solver, as does any graph of at most 600 nodes;
+    a truncated spectrum of a larger graph comes from a deflated Lanczos
+    solve (:func:`_lanczos_eigenpairs`), with or without a sketch policy.
     """
     n = graph.num_nodes
     if n == 0:
@@ -91,91 +138,28 @@ def laplacian_eigenpairs(graph: Graph, k: int | None = None) -> Tuple[np.ndarray
     # k=None and k>=n both mean "the full spectrum": normalize so they
     # address the same cache entry.
     effective_k = None if (k is None or k >= n) else int(k)
-
-    # Sketching applies only to truncated spectra above both the policy
-    # threshold and the dense cutoff; the sketch parameters enter the
-    # cache key so exact and sketched entries can never collide (the
-    # exact key stays exactly as before, preserving old entries).
-    sketched = (effective_k is not None and n > _DENSE_CUTOFF
-                and sketch_policy_for(n) is not None)
+    dense = effective_k is None or n <= _DENSE_CUTOFF
     params: dict = {"k": effective_k}
-    if sketched:
-        # The key records the parameters the producer computes with.
-        # "method" is kept (randomized SVD is the only one) so sketched
-        # keys and seeds stay those of earlier releases.
-        params["sketch"] = {
-            "method": "rsvd",
-            "rank": max(effective_k, min(_SPECTRAL_MIN_RANK, n // 4)),
-            "oversampling": _SPECTRAL_OVERSAMPLING,
-            "power_iters": _SPECTRAL_POWER_ITERS,
-        }
-
-    def produce_sketched() -> Tuple[np.ndarray, np.ndarray]:
-        add_counter("eigensolver_calls")
-        add_counter("sketched_kernels")
-        add_counter("sketch_rank", params["sketch"]["rank"])
-        lap = normalized_laplacian(graph).tocsr()
-        rng = np.random.default_rng(sketch_seed(
-            graph.content_digest(), artifact="laplacian_eigenpairs",
-            **params["sketch"], k=effective_k,
-        ))
-        # Sketch the PSD companion K = 2I - L: its *largest* eigenpairs
-        # are L's smallest, with eigenvalue map λ_L = 2 - λ_K.
-        k_vals, k_vecs = randomized_eigh(
-            lambda block: 2.0 * block - lap @ block, n,
-            params["sketch"]["rank"], oversampling=_SPECTRAL_OVERSAMPLING,
-            power_iters=_SPECTRAL_POWER_ITERS, rng=rng)
-        vals = 2.0 - k_vals  # descending λ_K -> ascending λ_L
-        order = np.argsort(vals)[:effective_k]
-        return vals[order], fix_signs(k_vecs[:, order])
+    if not dense:
+        # Entries written by earlier solvers (shift-invert, or the
+        # randomized sketch) lack this field, so a warm disk cache
+        # recomputes them instead of serving them.
+        params["solver"] = "lanczos"
 
     def produce() -> Tuple[np.ndarray, np.ndarray]:
         # Counted inside the producer: a cache hit is *not* an
         # eigendecomposition, and the counter is the proof of that.
         add_counter("eigensolver_calls")
-        if effective_k is None or n <= _DENSE_CUTOFF:
-            lap = normalized_laplacian(graph, dense=True)
-            vals, vecs = eigh(lap)
+        if dense:
+            vals, vecs = eigh(normalized_laplacian(graph, dense=True))
             if effective_k is not None:
                 vals, vecs = vals[:effective_k], vecs[:, :effective_k]
         else:
-            lap = normalized_laplacian(graph).tocsc()
-            # ARPACK's default start vector comes from per-process random
-            # state; one seeded by the graph keeps the solve a pure
-            # function of (graph, k), as a cached producer must be.
-            v0 = np.random.default_rng(sketch_seed(
-                graph.content_digest(), artifact="laplacian_eigenpairs",
-                k=effective_k,
-            )).uniform(-1.0, 1.0, n)
-            # sigma=0 shift-invert targets the smallest eigenvalues reliably.
-            try:
-                vals, vecs = eigsh(lap, k=effective_k, sigma=-1e-6,
-                                   which="LM", v0=v0)
-            except (ArpackError, RuntimeError, np.linalg.LinAlgError) as exc:
-                # Lanczos breakdown / no convergence, or a singular
-                # shift-invert factorization (splu raises RuntimeError or
-                # LinAlgError on e.g. isolated-node graphs): fall back to
-                # dense.  A plain ValueError — a shape error or any other
-                # caller bug — still propagates instead of being masked
-                # (LinAlgError subclasses ValueError, so it must be named
-                # explicitly here without catching its parent).
-                record_diagnostic(
-                    "spectral", "eigsh_failure",
-                    f"sparse eigsh failed on n={n}, k={effective_k} "
-                    f"({type(exc).__name__}: {exc}); dense eigh fallback",
-                    fallback_used="dense_eigh",
-                )
-                dense = lap.toarray()
-                vals, vecs = eigh(dense)
-                vals, vecs = vals[:effective_k], vecs[:, :effective_k]
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
+            vals, vecs = _lanczos_eigenpairs(graph, effective_k)
         return vals, fix_signs(vecs)
 
-    return cached_artifact(
-        graph, "laplacian_eigenpairs",
-        produce_sketched if sketched else produce,
-        params=params)
+    return cached_artifact(graph, "laplacian_eigenpairs", produce,
+                           params=params)
 
 
 def heat_kernel_diagonals(

@@ -1,17 +1,10 @@
 """Randomized low-rank decompositions (Halko, Martinsson & Tropp 2011).
 
-:func:`randomized_svd` and :func:`randomized_eigh` back the scaled-up
-spectral path: a Gaussian range finder with power iterations.  The
-operator is consumed only through block products (``matmat``), so
-callers can stream implicitly-defined matrices (the blockwise NetMF
-log-PMI matrix) without materializing them.
-
-The smallest Laplacian eigenpairs are reached through the PSD companion
-kernel ``K = 2I - L`` (the normalized Laplacian's spectrum lies in
-``[0, 2]``): the *largest* eigenpairs of ``K`` are the *smallest* of
-``L`` with ``λ_L = 2 - λ_K``, which is what lets a largest-eigenvalue
-sketch serve a smallest-eigenvalue consumer without shift-invert
-factorizations.
+:func:`randomized_svd` backs the sketched NetMF embedding: a Gaussian
+range finder with power iterations.  The operator is consumed only
+through block products (``matmat``), so callers can stream
+implicitly-defined matrices (the blockwise NetMF log-PMI matrix) without
+materializing them.
 
 Every sketch draws its Gaussian probes from a generator seeded by
 :func:`sketch_seed` — a digest of the graph content plus the sketch
@@ -34,7 +27,6 @@ __all__ = [
     "sketch_seed",
     "randomized_range_finder",
     "randomized_svd",
-    "randomized_eigh",
 ]
 
 MatMat = Callable[[np.ndarray], np.ndarray]
@@ -120,31 +112,3 @@ def randomized_svd(
     u_small, svals, vt = np.linalg.svd(small, full_matrices=False)
     u = basis @ u_small
     return u[:, :rank], svals[:rank], vt[:rank]
-
-
-def randomized_eigh(
-    operator: Union[np.ndarray, sparse.spmatrix, MatMat],
-    n: int,
-    rank: int,
-    oversampling: int = OVERSAMPLING,
-    power_iters: int = POWER_ITERS,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-``rank`` eigenpairs of a symmetric PSD ``(n, n)`` operator.
-
-    Rayleigh–Ritz on the sketched range: project onto the orthonormal
-    basis ``Q``, solve the small dense problem ``Qᵀ M Q``, and lift the
-    eigenvectors back.  Returns eigenvalues in **descending** order.
-    """
-    if rank < 1:
-        raise AlgorithmError(f"sketch rank must be >= 1, got {rank}")
-    rank = min(rank, n)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    matmat = _as_matmat(operator)
-    size = min(rank + int(oversampling), n)
-    basis = randomized_range_finder(matmat, n, size, power_iters, rng)
-    small = basis.T @ matmat(basis)
-    small = (small + small.T) / 2.0  # re-symmetrize float jitter
-    vals, vecs = np.linalg.eigh(small)
-    order = np.argsort(vals)[::-1][:rank]
-    return vals[order], basis @ vecs[:, order]

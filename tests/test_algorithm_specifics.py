@@ -18,6 +18,7 @@ from repro.algorithms import (
 from repro.exceptions import AlgorithmError
 from repro.graphs import (
     barabasi_albert_graph,
+    erdos_renyi_graph,
     powerlaw_cluster_graph,
     random_regular_graph,
 )
@@ -233,6 +234,24 @@ class TestGrasp:
             pair_d.ground_truth,
         )
         assert acc_connected > acc_disconnected
+
+    @pytest.mark.parametrize("sketched", [False, True],
+                             ids=["exact", "sketch-policy"])
+    @pytest.mark.parametrize("graph", [
+        erdos_renyi_graph(650, 10 / 649, seed=5),
+        powerlaw_cluster_graph(1200, 3, 0.2, seed=5),
+    ], ids=["er-650", "pl-1200"])
+    def test_zero_noise_is_perfect_above_the_dense_cutoff(self, graph,
+                                                          sketched):
+        """Canonical labeling gives every node of these graphs a unique
+        label (arXiv 1804.09758), so a zero-noise pair is fully
+        recoverable and any accuracy below 1.0 is the eigensolver's
+        fault — with or without a sketch policy."""
+        from repro.sketch import SketchPolicy, sketching
+        pair = make_pair(graph, "one-way", 0.0, seed=3)
+        with sketching(SketchPolicy(threshold=500) if sketched else None):
+            result = Grasp().align(pair.source, pair.target, assignment="jv")
+        assert accuracy(result.mapping, pair.ground_truth) == 1.0
 
     def test_k_clipped_to_graph_size(self):
         small = powerlaw_cluster_graph(12, 2, 0.3, seed=10)

@@ -176,7 +176,7 @@ class TestExperimentCommand:
 
     def test_workers_flag_reports_recovery(self, tmp_path):
         """A --workers sweep keeps its recovery log next to --journal: the
-        summary counts it and --report renders it."""
+        summary counts this run's events and --report renders them."""
         from repro.faults import FaultSpec, inject_fault
 
         journal, report = tmp_path / "J", tmp_path / "R.md"
@@ -193,6 +193,17 @@ class TestExperimentCommand:
         assert "recovery: 1 leases reclaimed, 1 workers respawned" in text
         assert "## recovery events" in report.read_text()
         assert "lease_reclaimed" in report.read_text()
+        # Replaying the finished journal without the fault reclaims
+        # nothing, so the old run's events must not be counted again.
+        code, text = _run([
+            "experiment", "--dataset", "ca-netscience",
+            "--algorithms", "isorank", "nsd",
+            "--levels", "0", "0.02", "--reps", "1", "--scale", "0.3",
+            "--workers", "2", "--journal", str(journal),
+            "--report", str(report)])
+        assert code == 0
+        assert "recovery: 0 leases reclaimed, 0 workers respawned" in text
+        assert "lease_reclaimed" not in report.read_text()
 
 
 class TestTuneCommand:

@@ -2,9 +2,10 @@
 
 Three contracts are pinned here:
 
-* the randomized decompositions are *accurate* where low-rank structure
-  exists (machine precision on decaying spectra, tight subspace angles
-  on spectral-gap graphs) and *deterministic* given the same seed;
+* the randomized SVD is *accurate* where low-rank structure exists
+  (machine precision on decaying spectra) and *deterministic* given the
+  same seed, and a sketch policy never changes the Laplacian eigenpairs
+  (they are exact with or without one);
 * below the policy threshold, a sketch-enabled run is **bit-identical**
   to an exact one — serial or parallel, align() or run_experiment();
 * above the threshold, the embedding algorithms go sparse end to end,
@@ -20,7 +21,7 @@ from scipy import sparse
 
 from repro.context import current_context
 from repro.exceptions import AlgorithmError, ExperimentError
-from repro.graphs import Graph, powerlaw_cluster_graph
+from repro.graphs import powerlaw_cluster_graph
 from repro.sketch import (
     OVERSAMPLING,
     POWER_ITERS,
@@ -31,32 +32,9 @@ from repro.sketch import (
 )
 from repro.spectral import (
     laplacian_eigenpairs,
-    randomized_eigh,
     randomized_svd,
     sketch_seed,
 )
-
-
-def _block_graph(blocks=6, size=150, seed=7):
-    """Communities joined by few edges: ``blocks`` small eigenvalues
-    separated from the bulk — the regime where sketching the companion
-    kernel recovers the exact subspace."""
-    rng = np.random.default_rng(seed)
-    edges = []
-    off = 0
-    for _ in range(blocks):
-        for i in range(size):
-            for j in range(i + 1, size):
-                if rng.random() < 0.08:
-                    edges.append((off + i, off + j))
-        off += size
-    for _ in range(10 * blocks):
-        a, c = rng.integers(0, blocks, 2)
-        while a == c:
-            c = rng.integers(0, blocks)
-        edges.append((int(a * size + rng.integers(size)),
-                      int(c * size + rng.integers(size))))
-    return Graph(blocks * size, edges)
 
 
 def _decaying_psd(n=300, ratio=0.6, seed=0):
@@ -170,13 +148,6 @@ class TestRandomizedDecompositions:
         assert np.allclose(u @ np.diag(s) @ vt,
                            (u * vals[:8]) @ vt, atol=1e-10)
 
-    def test_eigh_exact_on_decaying_spectrum(self):
-        m, vals, q = _decaying_psd()
-        got_vals, got_vecs = randomized_eigh(m, m.shape[0], 8,
-                                             rng=np.random.default_rng(1))
-        assert np.allclose(got_vals, vals[:8], atol=1e-10)
-        assert _subspace_cosines(q[:, :8], got_vecs).min() > 1 - 1e-9
-
     def test_same_seed_same_result(self):
         m, _, _ = _decaying_psd()
         first = randomized_svd(m, m.shape, 6, rng=np.random.default_rng(3))
@@ -198,15 +169,13 @@ class TestRandomizedDecompositions:
 
 
 class TestSketchedEigenpairs:
-    GRAPH = _block_graph()
-    POLICY = SketchPolicy(threshold=500)
+    """A sketch policy leaves the Laplacian eigenpairs exact: above the
+    dense cutoff one deflated Lanczos solver serves every truncated
+    spectrum, policy or not.  The graph is a powerlaw one, whose gapless
+    low spectrum no randomized range finder can separate."""
 
-    def test_matches_exact_on_gap_graph(self):
-        vals_e, vecs_e = laplacian_eigenpairs(self.GRAPH, k=6)
-        with sketching(self.POLICY):
-            vals_s, vecs_s = laplacian_eigenpairs(self.GRAPH, k=6)
-        assert np.abs(vals_s - vals_e).max() < 5e-3
-        assert _subspace_cosines(vecs_e, vecs_s).min() > 0.99
+    GRAPH = powerlaw_cluster_graph(900, 3, 0.2, seed=7)
+    POLICY = SketchPolicy(threshold=500)
 
     def test_sketched_run_is_deterministic(self):
         with sketching(self.POLICY):
@@ -224,33 +193,39 @@ class TestSketchedEigenpairs:
         assert np.array_equal(exact[1], sketched_off[1])
 
     def test_cache_key_holds_the_fixed_parameters(self):
-        """A sketched entry's key is the one it had when the policy
-        carried rank/method/oversampling knobs, so warm disk caches stay
-        valid."""
+        """Above the dense cutoff the key names the solver and nothing
+        of the policy, so entries that earlier solvers wrote (the
+        shift-invert solve, or the randomized sketch under a policy) are
+        recomputed, never served."""
         from repro.cache import artifact_cache, caching, canonicalize_params
         with caching(True), artifact_cache() as cache, \
                 sketching(self.POLICY):
             laplacian_eigenpairs(self.GRAPH, k=6)
-        params = {"k": 6, "sketch": {"method": "rsvd", "rank": 128,
-                                     "oversampling": 16, "power_iters": 8}}
-        assert (self.GRAPH.content_digest(), "laplacian_eigenpairs",
-                canonicalize_params(params)) in cache
+        digest = self.GRAPH.content_digest()
+        assert (digest, "laplacian_eigenpairs", canonicalize_params(
+            {"k": 6, "solver": "lanczos"})) in cache
+        for stale in ({"k": 6}, {"k": 6, "sketch": {
+                "method": "rsvd", "rank": 128, "oversampling": 16,
+                "power_iters": 8}}):
+            assert (digest, "laplacian_eigenpairs",
+                    canonicalize_params(stale)) not in cache
 
-    def test_cache_keys_never_collide(self):
-        """Exact and sketched eigenpairs of the same graph coexist in one
-        cache scope: asking for the exact pair after a sketched one must
-        rerun the exact producer, never serve the sketched artifact."""
+    def test_policy_leaves_eigenpairs_bit_identical(self):
+        """Under a policy the arrays are bit-identical to the arrays
+        without one, and with the cache on both calls address one entry:
+        the second is a hit."""
         from repro.cache import artifact_cache, caching
-        with caching(True), artifact_cache():
-            exact = laplacian_eigenpairs(self.GRAPH, k=6)
+        exact = laplacian_eigenpairs(self.GRAPH, k=6)
+        with sketching(self.POLICY):
+            under_policy = laplacian_eigenpairs(self.GRAPH, k=6)
+        assert np.array_equal(exact[0], under_policy[0])
+        assert np.array_equal(exact[1], under_policy[1])
+        with caching(True), artifact_cache() as cache:
+            laplacian_eigenpairs(self.GRAPH, k=6)
             with sketching(self.POLICY):
-                sketched = laplacian_eigenpairs(self.GRAPH, k=6)
-                # warm read back under the policy: the sketched entry
-                again_sketched = laplacian_eigenpairs(self.GRAPH, k=6)
-            again_exact = laplacian_eigenpairs(self.GRAPH, k=6)
-        assert not np.array_equal(exact[1], sketched[1])
-        assert np.array_equal(sketched[1], again_sketched[1])
-        assert np.array_equal(exact[1], again_exact[1])
+                laplacian_eigenpairs(self.GRAPH, k=6)
+        assert cache.stats()["by_artifact"]["laplacian_eigenpairs"] == \
+            {"hits": 1, "misses": 1}
 
 
 class TestSketchedNetMF:
@@ -462,7 +437,9 @@ class TestSparseFirstPipeline:
                            k=10, q=20)
         assert sparse.issparse(result.similarity)
         totals = self._totals(result)
-        assert totals.get("sketched_kernels", 0) >= 2  # both eigenbases
+        # Both eigenbases come from the exact solver, never a sketch.
+        assert totals.get("eigensolver_calls", 0) == 2
+        assert totals.get("sketched_kernels", 0) == 0
         assert totals.get("similarity_topk", 0) > 0
         assert totals.get("dense_bypass", 0) == 0
         assert totals.get("assignment_densified", 0) == 0

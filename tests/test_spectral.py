@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import AlgorithmError
-from repro.graphs import Graph, cycle_graph, erdos_renyi_graph, normalized_laplacian
+from repro.graphs import (
+    Graph,
+    cycle_graph,
+    erdos_renyi_graph,
+    normalized_laplacian,
+    powerlaw_cluster_graph,
+)
 from repro.spectral import fix_signs, heat_kernel_diagonals, laplacian_eigenpairs
 
 
@@ -134,12 +140,9 @@ class TestEigshFallback:
         assert events == []
 
 
-class TestShiftInvertFailureFallback:
-    """Regression: a singular shift-invert factorization surfaces as
-    ``RuntimeError`` (splu) or ``numpy.linalg.LinAlgError`` — not as
-    ``ArpackError`` — and must take the same dense fallback instead of
-    crashing the cell.  The natural trigger is a graph with an isolated
-    node, whose normalized-Laplacian row is all zero."""
+class TestIsolatedNodeGraph:
+    """An isolated node has an all-zero normalized-Laplacian row: its
+    ``e_i`` is a null vector of its own, outside ``D^½·1``."""
 
     @staticmethod
     def _isolated_node_graph():
@@ -149,36 +152,118 @@ class TestShiftInvertFailureFallback:
         kept = [(u, v) for u, v in base.edges() if u != 649 and v != 649]
         return Graph(650, kept)
 
-    @pytest.mark.parametrize("exc_factory", [
-        lambda: RuntimeError("Factor is exactly singular"),
-        lambda: np.linalg.LinAlgError("singular matrix"),
-    ])
-    def test_singular_factorization_falls_back_to_dense(self, monkeypatch,
-                                                        exc_factory):
-        from repro.diagnostics import capture_diagnostics
-        from repro.spectral import decomposition
-
-        def _singular_eigsh(*args, **kwargs):
-            raise exc_factory()
-
-        monkeypatch.setattr(decomposition, "eigsh", _singular_eigsh)
-        graph = self._isolated_node_graph()
-        with capture_diagnostics() as events:
-            vals, vecs = laplacian_eigenpairs(graph, k=4)
-        assert vals.shape == (4,)
-        assert vecs.shape == (650, 4)
-        assert np.all(np.diff(vals) >= 0)
-        assert any(e.kind == "eigsh_failure"
-                   and e.fallback_used == "dense_eigh" for e in events)
-
     def test_isolated_node_graph_end_to_end(self):
-        """Whatever path eigsh takes on the singular Laplacian, the call
-        must return valid ascending eigenpairs, never raise."""
+        """The call must return valid ascending eigenpairs, never raise."""
         graph = self._isolated_node_graph()
         vals, vecs = laplacian_eigenpairs(graph, k=4)
         assert vals.shape == (4,)
         assert np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))
         assert np.all(np.diff(vals) >= -1e-12)
+
+
+def _disjoint_union(*graphs):
+    edges, offset = [], 0
+    for graph in graphs:
+        edges.append(graph.edges() + offset)
+        offset += graph.num_nodes
+    return Graph(offset, np.vstack(edges))
+
+
+def _null_basis(graph):
+    """``D^½·1_C`` per component (``e_i`` for an isolated node), unit
+    columns in the order scipy labels the components."""
+    from scipy.sparse.csgraph import connected_components
+    count, labels = connected_components(graph.adjacency(), directed=False)
+    weights = np.sqrt(graph.degrees.astype(np.float64))
+    weights[weights == 0] = 1.0
+    basis = np.zeros((graph.num_nodes, count))
+    basis[np.arange(graph.num_nodes), labels] = weights
+    return basis / np.linalg.norm(basis, axis=0)
+
+
+def _er_er_ring():
+    er700 = erdos_renyi_graph(700, 10 / 699, seed=5)
+    return _disjoint_union(er700, er700, cycle_graph(10))
+
+
+# Inputs above the dense cutoff, built on demand.
+_LANCZOS_GRAPHS = {
+    "er-1000": lambda: erdos_renyi_graph(1000, 10 / 999, seed=5),
+    "pl-1000": lambda: powerlaw_cluster_graph(1000, 5, 0.3, seed=5),
+    # Every non-zero eigenvalue of a ring is doubled.
+    "ring-800": lambda: cycle_graph(800),
+    # Three components, two of them isomorphic: zero is triple and the
+    # ER spectrum is doubled on top of the ring's.
+    "er-er-ring": _er_er_ring,
+    "isolated-node": TestIsolatedNodeGraph._isolated_node_graph,
+    # 25 components for k=20: the null space alone fills k.
+    "25-rings": lambda: _disjoint_union(*[cycle_graph(30)] * 25),
+}
+
+
+class TestLanczosAgainstDense:
+    """Above the dense cutoff the truncated spectrum comes from Lanczos
+    on the deflated companion ``2I - L - 2ZZᵀ``; dense ``eigh`` is the
+    oracle.  Eigenvectors inside a repeated eigenvalue are only defined
+    up to rotation, so each cluster of equal eigenvalues is compared as
+    a subspace (principal angles), never column by column."""
+
+    VALUE_TOL = 1e-10
+    ANGLE_TOL = 1e-8
+    CLUSTER_TOL = 1e-8
+
+    @pytest.mark.parametrize("name", sorted(_LANCZOS_GRAPHS))
+    def test_matches_dense_eigh(self, name):
+        from scipy.linalg import eigh, subspace_angles
+        graph = _LANCZOS_GRAPHS[name]()
+        k = 20
+        assert graph.num_nodes > 600  # the Lanczos path
+        vals, vecs = laplacian_eigenpairs(graph, k=k)
+        dense_vals, dense_vecs = eigh(normalized_laplacian(graph, dense=True))
+        assert vals.shape == (k,) and vecs.shape == (graph.num_nodes, k)
+        assert np.abs(vals - dense_vals[:k]).max() <= self.VALUE_TOL
+        lo = 0
+        while lo < k:
+            hi = lo + 1
+            while (hi < graph.num_nodes
+                   and dense_vals[hi] - dense_vals[hi - 1] < self.CLUSTER_TOL):
+                hi += 1
+            # A cluster cut at k: the returned columns must lie inside
+            # the whole eigenspace.
+            angles = subspace_angles(vecs[:, lo:min(hi, k)],
+                                     dense_vecs[:, lo:hi])
+            assert angles.max() <= self.ANGLE_TOL, (lo, hi)
+            lo = hi
+
+    def test_k_up_to_n_minus_one(self):
+        """k up to n - 1 stays on the Lanczos path and exact, as it was
+        under shift-invert; ARPACK clips the Krylov width 2(k - c) + 1
+        to n."""
+        from scipy.linalg import eigh
+        graph = erdos_renyi_graph(650, 10 / 649, seed=5)
+        vals, vecs = laplacian_eigenpairs(graph, k=649)
+        dense_vals = eigh(normalized_laplacian(graph, dense=True),
+                          eigvals_only=True)
+        assert vecs.shape == (650, 649)
+        assert np.abs(vals - dense_vals[:649]).max() <= self.VALUE_TOL
+
+    def test_null_space_is_the_closed_form_basis_in_component_order(self):
+        graph = _LANCZOS_GRAPHS["25-rings"]()
+        vals, vecs = laplacian_eigenpairs(graph, k=20)
+        assert np.array_equal(vals, np.zeros(20))
+        assert np.array_equal(vecs, _null_basis(graph)[:, :20])
+
+    @pytest.mark.parametrize("name", ["er-er-ring", "isolated-node"])
+    def test_null_space_columns_lead(self, name):
+        """Fewer components than k: the closed-form null basis comes
+        first, then the Lanczos eigenvectors."""
+        graph = _LANCZOS_GRAPHS[name]()
+        null = _null_basis(graph)
+        vals, vecs = laplacian_eigenpairs(graph, k=20)
+        c = null.shape[1]
+        assert 1 < c < 20
+        assert np.array_equal(vecs[:, :c], null)
+        assert np.array_equal(vals[:c], np.zeros(c))
 
 
 class TestFixSignsTieBreaking:
@@ -205,6 +290,10 @@ class TestFixSignsTieBreaking:
         col = np.array([-(peak * (1 - 1e-13)), 0.1, peak, 0.2])
         fixed = fix_signs(col[:, np.newaxis])
         assert fixed[0, 0] > 0
+
+    def test_empty_basis_passes_through(self):
+        for shape in ((5, 0), (0, 0)):
+            assert fix_signs(np.zeros(shape)).shape == shape
 
     def test_zero_at_deciding_index_counts_positive(self):
         col = np.zeros(3)
