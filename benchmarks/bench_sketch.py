@@ -109,9 +109,10 @@ def test_sketch_accuracy_speedup(benchmark, profile, results_dir):
         f"planted-community graph (12 blocks), n={out['n']}, grasp k=20, "
         "sketch threshold=600 (exact eigenpairs, top-10 sparse similarity)",
         "",
-        "sketching is a memory play, not a speed play at this size: the",
-        "exact path is fast here but needs the dense n x n similarity",
-        "that the budget caps forbid at scale (see sketch_acceptance).",
+        "the sparse path is the faster one even at this size: its top-10",
+        "search is one blocked BLAS scan over the target embeddings, and it",
+        "never builds the dense n x n similarity that the budget caps",
+        "forbid at scale (see sketch_acceptance).",
         "",
         f"{'grasp cell (sg)':>22s} {'exact[s]':>9s} {'sketch[s]':>10s} "
         f"{'speedup':>8s} {'accuracy':>24s}",

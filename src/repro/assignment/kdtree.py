@@ -1,20 +1,17 @@
-"""A from-scratch k-d tree for nearest-neighbor queries on embeddings.
+"""Exact k-nearest-neighbor queries on embeddings.
 
-REGAL and CONE extract alignments by querying each source embedding against
-the target embeddings.  This module provides a median-split k-d tree with
-best-first k-NN search; the test suite validates it against SciPy's cKDTree.
-For high-dimensional embeddings a k-d tree degrades toward linear scan, so
-:meth:`KDTree.query` transparently falls back to a vectorized brute-force
-path when the dimensionality makes the tree pointless — the same trade-off
-the original REGAL implementation makes — and likewise on very large
-databases, where the interpreter cost of the per-query descent loses to
-a blocked, memory-bounded BLAS scan.
+REGAL, CONE and sketched GRASP extract alignments by querying each source
+embedding against the target embeddings.  :class:`KDTree` keeps the
+interface of a k-d tree, but every query is a blocked, memory-bounded
+BLAS scan: at the widths these aligners produce (GRASP 20, REGAL
+≈10·log₂ n, CONE 128) a tree visits nearly every leaf, and its
+pure-Python descent cost seconds where the scan costs milliseconds.
+The test suite validates it against SciPy's cKDTree.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -22,99 +19,23 @@ from repro.exceptions import AssignmentError
 
 __all__ = ["KDTree"]
 
-# Above this dimensionality a kd-tree visits nearly every leaf anyway.
-_BRUTE_FORCE_DIM = 30
-
-# Above this many database points the pure-Python best-first descent
-# loses to the blocked BLAS scan: per-query tree cost is milliseconds of
-# interpreter time, while the vectorized path amortizes to microseconds
-# per query and stays memory-bounded by its block size.
-_BRUTE_FORCE_POINTS = 8192
-
-
-class _Node:
-    __slots__ = ("axis", "threshold", "left", "right", "indices")
-
-    def __init__(self, axis=-1, threshold=0.0, left=None, right=None, indices=None):
-        self.axis = axis
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.indices = indices  # leaf payload
-
 
 class KDTree:
-    """k-d tree over the rows of ``points`` supporting k-NN queries.
+    """Exact k-NN index over the rows of ``points``.
 
     Parameters
     ----------
     points:
         ``(n, d)`` float array of database points.
-    leaf_size:
-        Maximum points per leaf before splitting stops.
     """
 
-    def __init__(self, points, leaf_size: int = 16):
+    def __init__(self, points):
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2:
             raise AssignmentError(f"points must be (n, d), got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise AssignmentError("points contain non-finite values")
         self._points = pts
-        self._leaf_size = max(int(leaf_size), 1)
-        self._root: Optional[_Node] = None
-        if (pts.shape[0] and pts.shape[1] <= _BRUTE_FORCE_DIM
-                and pts.shape[0] <= _BRUTE_FORCE_POINTS):
-            self._root = self._build(np.arange(pts.shape[0]), depth=0)
-
-    # ------------------------------------------------------------------
-
-    def _build(self, indices: np.ndarray, depth: int) -> _Node:
-        if indices.size <= self._leaf_size:
-            return _Node(indices=indices)
-        subset = self._points[indices]
-        # Split on the axis with the largest spread for better balance.
-        axis = int(np.argmax(subset.max(axis=0) - subset.min(axis=0)))
-        values = subset[:, axis]
-        median = float(np.median(values))
-        left_mask = values <= median
-        # Degenerate split (all values equal): stop subdividing.
-        if left_mask.all() or not left_mask.any():
-            return _Node(indices=indices)
-        node = _Node(axis=axis, threshold=median)
-        node.left = self._build(indices[left_mask], depth + 1)
-        node.right = self._build(indices[~left_mask], depth + 1)
-        return node
-
-    # ------------------------------------------------------------------
-
-    def _query_one(self, point: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        # Max-heap of (-dist, idx) keeps the k best seen so far.
-        heap: list = []
-
-        def visit(node: _Node) -> None:
-            if node.indices is not None:
-                pts = self._points[node.indices]
-                dists = np.sqrt(((pts - point) ** 2).sum(axis=1))
-                for d, idx in zip(dists, node.indices):
-                    if len(heap) < k:
-                        heapq.heappush(heap, (-d, int(idx)))
-                    elif d < -heap[0][0]:
-                        heapq.heapreplace(heap, (-d, int(idx)))
-                return
-            diff = point[node.axis] - node.threshold
-            near, far = (node.left, node.right) if diff <= 0 else (node.right, node.left)
-            visit(near)
-            # Only descend the far side if the splitting plane is closer than
-            # the current k-th neighbor.
-            if len(heap) < k or abs(diff) < -heap[0][0]:
-                visit(far)
-
-        visit(self._root)
-        heap.sort(key=lambda pair: -pair[0])
-        dists = np.array([-d for d, _ in heap])
-        idxs = np.array([i for _, i in heap], dtype=np.int64)
-        return dists, idxs
 
     def query(self, queries, k: int = 1) -> Tuple[np.ndarray, np.ndarray]:
         """k nearest database rows for each query row.
@@ -131,18 +52,10 @@ class KDTree:
         n = self._points.shape[0]
         if n == 0:
             raise AssignmentError("cannot query an empty KDTree")
-        k = min(int(k), n)
-        if self._root is None:
-            return self._brute_force(q, k)
-        dists = np.empty((q.shape[0], k))
-        idxs = np.empty((q.shape[0], k), dtype=np.int64)
-        for row, point in enumerate(q):
-            d, i = self._query_one(point, k)
-            dists[row], idxs[row] = d, i
-        return dists, idxs
+        return self._brute_force(q, min(int(k), n))
 
     def _brute_force(self, queries: np.ndarray, k: int):
-        """Vectorized exact k-NN used in high dimensions."""
+        """Vectorized exact k-NN, blocked to bound memory."""
         # ||q - p||^2 = ||q||^2 - 2 q.p + ||p||^2, computed blockwise.
         p_sq = (self._points ** 2).sum(axis=1)
         dists_out = np.empty((queries.shape[0], k))

@@ -136,20 +136,18 @@ def atomic_write_bytes(path: Path, blob: bytes, fsync: bool = True) -> None:
         _fsync_dir(path.parent)
 
 
-def read_jsonl(path: Union[str, Path], offset: int = 0
+def read_jsonl(path: Union[str, Path]
                ) -> Tuple[List[Dict[str, object]], int]:
-    """The complete entries of an append-only JSONL file from ``offset``.
+    """The complete entries of an append-only JSONL file.
 
     A writer may be killed mid-append, so reading stops at the first
     line with no trailing newline (a torn append) or that is not valid
     JSON (a corrupt tail).  Returns the entries before it and the number
-    of bytes they span: a single writer truncates its file to
-    ``offset + consumed``, and a reader polling a live file resumes
-    there.  An unreadable file reads as empty.
+    of bytes they span, to which a single writer truncates its file.  An
+    unreadable file reads as empty.
     """
     try:
         with open(path, "rb") as handle:
-            handle.seek(offset)
             raw = handle.read()
     except OSError:
         return [], 0

@@ -144,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seconds before the first retry, doubled per "
                           "further attempt")
     exp.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="run the cells on N lease-coordinated worker "
-                          "processes in a temporary directory (default 1 "
+                     help="run the cells on N worker processes that "
+                          "send their records back over pipes (default 1 "
                           "= serial); --journal stays one file, so "
                           "results and resume are identical to a serial "
                           "run, and the recovery log goes to "

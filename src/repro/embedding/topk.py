@@ -2,7 +2,9 @@
 
 REGAL and CONE natively return only each source node's top-``k`` most
 similar targets via a k-d tree (paper §3.5, §3.7) instead of the dense
-``n x n`` similarity matrix.  The sparse output feeds the heuristic
+``n x n`` similarity matrix; here the targets come from an exact, blocked
+BLAS scan (:class:`~repro.assignment.kdtree.KDTree`), which beats a tree
+at these embedding widths.  The sparse output feeds the heuristic
 assignment back-ends and keeps the memory footprint linear, which is how
 those methods reach the paper's largest scalability sizes.
 """
@@ -32,9 +34,9 @@ def topk_similarity(
     y_v||^2`` instead, preserving the objective of algorithms (GRASP)
     whose dense similarity is the negative squared distance — and
     avoiding the underflow-to-zero the exp kernel hits at large
-    distances.  Targets are found with the k-d tree (which falls back to
-    vectorized exact search in high dimensions).  The per-row candidate
-    budget is recorded on the ``similarity_topk`` trace counter.
+    distances.  Targets are found by an exact, blocked scan over the
+    target embeddings.  The per-row candidate budget is recorded on the
+    ``similarity_topk`` trace counter.
     """
     src = np.asarray(source_embeddings, dtype=np.float64)
     tgt = np.asarray(target_embeddings, dtype=np.float64)

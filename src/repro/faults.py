@@ -34,16 +34,17 @@ process-level machinery:
   mode the call counter counts ``align()`` invocations, since the fault
   must act before the similarity stage.
 
-Three modes target the distributed scheduler and the disk cache
+Three modes target the multi-process sweep and the disk cache
 (:mod:`repro.harness.scheduler`, :mod:`repro.cache_disk`):
 
 * ``"kill_worker"`` SIGKILLs the *current process* mid-similarity — the
-  worker vanishes with its lease held, exactly like an OOM-killed or
-  preempted shard worker, and the supervisor must reclaim the cell;
-* ``"stale_lease"`` suppresses the process's lease heartbeats
-  (:func:`repro.harness.scheduler.suppress_heartbeats`) and then hangs,
-  so a perfectly alive worker looks hung; the supervisor must SIGKILL it
-  and reclaim;
+  worker vanishes mid-instance, exactly like an OOM-killed or preempted
+  worker, and the supervisor must re-queue the cell in flight;
+* ``"stale_lease"`` suppresses the process's heartbeats
+  (:func:`repro.harness.scheduler.suppress_heartbeats`; the alignment
+  service's lease heartbeats honour it too) and then hangs, so a
+  perfectly alive worker looks hung; the supervisor must SIGKILL it
+  and re-queue the cell;
 * ``"corrupt_cache"`` runs the real similarity stage and then flips a
   byte in one committed disk-cache payload under ``spec.cache_dir``
   (see :func:`corrupt_random_cache_entry`) — the next reader must
@@ -237,13 +238,13 @@ def _fire(spec: FaultSpec) -> None:
         raise ConvergenceError("injected hang elapsed without being killed")
     if spec.mode == "kill_worker":
         # Die the way the scheduler must survive: no cleanup, no exception
-        # path, the lease left behind exactly as a SIGKILLed worker
+        # path, the cell left unfinished exactly as a SIGKILLed worker
         # leaves it.
         os.kill(os.getpid(), signal.SIGKILL)
         time.sleep(60)  # unreachable; SIGKILL cannot be handled
         raise ExperimentError("SIGKILL to self did not terminate")
     if spec.mode == "stale_lease":
-        # Look hung without being dead: stop refreshing leases, then stall.
+        # Look hung without being dead: stop the heartbeats, then stall.
         # In a ``workers`` sweep the supervisor SIGKILLs us mid-sleep;
         # anywhere else the stall ends as an ordinary transient failure.
         from repro.harness.scheduler import suppress_heartbeats

@@ -12,8 +12,8 @@ a self-contained stand-in.)
 * :mod:`repro.harness.journal` — crash-tolerant write-ahead journal/resume,
 * :mod:`repro.harness.budget` — per-cell time+memory budgets (child procs),
 * :mod:`repro.harness.retry` — retry policy for transient cell failures,
-* :mod:`repro.harness.scheduler` — multi-process sweeps with lease-based
-  orphan recovery (``ExperimentConfig(workers=N)``).
+* :mod:`repro.harness.scheduler` — multi-process sweeps over worker
+  pipes, with orphan recovery (``ExperimentConfig(workers=N)``).
 """
 
 from repro.harness.config import (

@@ -137,12 +137,12 @@ class ExperimentConfig:
     algorithm_params: Dict[str, dict] = field(default_factory=dict)
     budget: Optional[CellBudget] = None       # run cells in capped children
     retry_policy: Optional[RetryPolicy] = None  # re-attempt transient fails
-    workers: int = 1  # >1 runs the lease scheduler (repro.harness.scheduler)
+    workers: int = 1  # >1 runs the pipe scheduler (repro.harness.scheduler)
     strict_numerics: bool = False  # watchdog fail-fast instead of sanitize
     trace: bool = False  # record per-cell stage traces (repro.observability)
     cache: bool = False  # share per-graph intermediates via repro.cache
     cache_dir: Optional[str] = None  # disk-backed cache (repro.cache_disk)
-    lease_timeout_seconds: float = 30.0  # heartbeat age that orphans a cell
+    lease_timeout_seconds: float = 30.0  # worker silence that orphans a cell
     # Post-sweep statistics (repro.stats): permutation tests + bootstrap
     # CIs over the finished table, attached as ``table.stats``.  Derived
     # from the records, never changing them, so excluded from the

@@ -134,11 +134,10 @@ class RunJournal:
     returning, making the journal a true write-ahead log.
 
     A journal has exactly **one writer: the process that opened it**.
-    The sweep scheduler keeps this invariant by giving every worker its
-    own shard and having the supervisor copy finished records into the
-    caller's journal; concurrent appends from
-    multiple processes would interleave partial lines and corrupt the
-    log.  :meth:`append` asserts the invariant, so a journal object
+    The sweep scheduler keeps this invariant by having its workers send
+    their records over pipes to the supervisor, which alone appends them
+    to the caller's journal; concurrent appends from multiple processes
+    would interleave partial lines and corrupt the log.  :meth:`append` asserts the invariant, so a journal object
     smuggled into a forked child fails loudly instead.
     """
 
@@ -225,12 +224,11 @@ class RunJournal:
         """
         if os.getpid() != self._owner_pid:
             raise ExperimentError(
-                f"journal shard {self.path} is owned by pid "
+                f"journal {self.path} is owned by pid "
                 f"{self._owner_pid} but append was called from pid "
                 f"{os.getpid()} — an open journal crossed a fork/spawn "
-                "boundary; each process must open its own shard (see "
-                "repro.harness.scheduler) or stream records back to the "
-                "owning process"
+                "boundary; stream records back to the owning process, as "
+                "the workers of repro.harness.scheduler do"
             )
         if key in self._records:
             return

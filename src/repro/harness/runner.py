@@ -248,13 +248,13 @@ def run_experiment(
     Execution knobs come from the config: ``config.budget`` runs each
     cell in a resource-capped child process, ``config.retry_policy``
     re-attempts transient failures, and ``config.workers > 1`` runs the
-    cells on that many worker processes of the lease-coordinated
-    scheduler (:func:`repro.harness.scheduler.run_sharded_experiment`),
-    which tolerates killed and hung workers — with identical results,
-    budgets and retries.  Its shards live in a scratch directory,
-    ``journal`` stays the one file, written by this process alone, so
-    serial and ``workers`` runs resume each other, and its recovery
-    events go to ``<journal>.events.jsonl``.
+    cells on that many worker processes of the pipe scheduler
+    (:func:`repro.harness.scheduler.run_sharded_experiment`), which
+    tolerates killed and hung workers — with identical results, budgets
+    and retries.  Its workers send their records back over pipes, so
+    ``journal`` stays the one file, written by this process alone, and
+    serial and ``workers`` runs resume each other; its recovery events
+    go to ``<journal>.events.jsonl``.
     ``config.cache_dir`` layers a crash-safe disk cache
     (:mod:`repro.cache_disk`) under every per-instance artifact cache,
     so eigendecompositions and other per-graph intermediates persist
@@ -333,7 +333,7 @@ def _collect_instances(config, graphs, journal, table
     One ``(dataset, noise type, level, rep, pending algorithms)`` entry
     per instance, so the serial loop builds each noisy pair once.  The
     scheduler (``workers``) skips the same journaled cells: its
-    supervisor marks them done before any worker starts.
+    supervisor leaves them out of its queue.
     """
     tasks = []
     for dataset in graphs:

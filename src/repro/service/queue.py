@@ -1,18 +1,20 @@
 """Durable on-disk request queue: the one store of the service's tickets.
 
 The queue persists every accepted request and coordinates its execution
-with exactly the primitives the distributed scheduler already proved
-under chaos (:mod:`repro.harness.scheduler`): ``O_CREAT | O_EXCL`` lease
-files claim a request atomically, heartbeat-stale or dead-pid leases are
+through lease files, whose primitives live here: ``O_CREAT | O_EXCL``
+lease files claim a request atomically, a heartbeat thread rewrites them
+by temp-file + atomic rename, heartbeat-stale or dead-pid leases are
 reclaimed so a SIGKILLed worker's request is **re-leased, not lost**, and
 ``.attempts`` tombstones preserve how often a request burned an
-execution.
+execution.  Any number of service processes may share one queue
+directory, which is why the service coordinates on files while a
+``workers`` sweep, whose one supervisor owns its queue, needs none.
 
-Layout under the queue root (lease files are named by
-:func:`~repro.harness.scheduler.cell_hash` of the key)::
+Layout under the queue root (lease files are named by :func:`cell_hash`
+of the key)::
 
     requests/<key>.req     pickled request payload, atomically published
-    leases/<hash>.lease    scheduler lease (pid + host + attempt + heartbeat)
+    leases/<hash>.lease    lease (pid + host + attempt + heartbeat)
     leases/<hash>.attempts orphan-attempt tombstone
     done/<key>.done        terminal outcome: state, attempts, error (JSON)
 
@@ -33,10 +35,13 @@ queue, so restarts recover the full backlog from the directory alone.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
+import socket
 import threading
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -46,16 +51,7 @@ import numpy as np
 from repro.cache import canonicalize_params
 from repro.cache_disk import _fsync_dir, atomic_write_bytes
 from repro.exceptions import ExperimentError
-from repro.harness.scheduler import (
-    bump_attempts,
-    cell_hash,
-    lease_path,
-    read_attempts,
-    read_lease,
-    release_lease,
-    scan_stale_leases,
-    try_acquire_lease,
-)
+from repro.harness import scheduler
 from repro.service.tickets import (
     TERMINAL_STATES,
     TICKET_STATES,
@@ -63,9 +59,240 @@ from repro.service.tickets import (
     ticket_key,
 )
 
-__all__ = ["QueueFull", "AlignmentRequest", "DurableRequestQueue"]
+__all__ = [
+    "QueueFull",
+    "AlignmentRequest",
+    "DurableRequestQueue",
+    "Lease",
+    "cell_hash",
+    "try_acquire_lease",
+    "read_lease",
+    "release_lease",
+    "scan_stale_leases",
+    "read_attempts",
+    "bump_attempts",
+]
 
 DEFAULT_MEASURES: Tuple[str, ...] = ("s3", "mnc", "ec", "ics")
+
+
+def cell_hash(key: str) -> str:
+    """Filesystem-safe fixed-length name for one cell key."""
+    return hashlib.blake2b(key.encode("utf-8"), digest_size=12).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# Leases
+
+
+@dataclass(frozen=True)
+class Lease:
+    """One worker's claim on one cell, as read back from disk.
+
+    ``heartbeat`` is a wall-clock timestamp (cross-process comparable).
+    A lease file caught mid-write (claimed but content not yet visible)
+    parses into a Lease with unknown pid and the file mtime as its
+    heartbeat — present is present; staleness judgments still apply.
+    """
+
+    key: str
+    pid: int
+    host: str
+    attempt: int
+    acquired_at: float
+    heartbeat: float
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "key": self.key, "pid": self.pid, "host": self.host,
+            "attempt": self.attempt, "acquired_at": self.acquired_at,
+            "heartbeat": self.heartbeat,
+        }, sort_keys=True)
+
+
+def lease_path(lease_dir: Path, key: str) -> Path:
+    return Path(lease_dir) / f"{cell_hash(key)}.lease"
+
+
+def try_acquire_lease(lease_dir: Path, key: str,
+                      attempt: int = 1) -> Optional[Path]:
+    """Atomically claim a cell; ``None`` if someone already holds it.
+
+    The claim itself is the ``O_CREAT | O_EXCL`` create — two workers
+    racing get exactly one winner from the filesystem, with no lock
+    server and no advisory-lock caveats.  The content write that follows
+    is not atomic, which is why :func:`read_lease` tolerates a
+    mid-write file.
+    """
+    path = lease_path(lease_dir, key)
+    now = time.time()
+    lease = Lease(key=key, pid=os.getpid(), host=socket.gethostname(),
+                  attempt=int(attempt), acquired_at=now, heartbeat=now)
+    try:
+        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+    except FileExistsError:
+        return None
+    try:
+        os.write(fd, lease.to_json().encode("utf-8"))
+    finally:
+        os.close(fd)
+    return path
+
+
+def refresh_lease(path: Path, key: str, attempt: int,
+                  acquired_at: float) -> None:
+    """Publish a fresh heartbeat via temp-file + atomic rename.
+
+    A reader (a reclaim scan judging staleness) sees either the old
+    complete lease or the new complete lease, never a torn one — the
+    reason heartbeats rewrite rather than append or touch-in-place.
+    """
+    lease = Lease(key=key, pid=os.getpid(), host=socket.gethostname(),
+                  attempt=int(attempt), acquired_at=acquired_at,
+                  heartbeat=time.time())
+    try:
+        atomic_write_bytes(path, lease.to_json().encode("utf-8"),
+                           fsync=False)
+    except OSError:
+        # Lease may have been reclaimed under us; the first terminal
+        # outcome still wins (see DurableRequestQueue.mark_done).
+        pass
+
+
+def read_lease(path: Path) -> Optional[Lease]:
+    """Parse a lease file; mid-write or foreign content degrades gracefully."""
+    try:
+        raw = path.read_text(encoding="utf-8")
+    except OSError:
+        return None  # vanished (released/reclaimed) between list and read
+    try:
+        data = json.loads(raw)
+        return Lease(
+            key=str(data["key"]), pid=int(data["pid"]),
+            host=str(data["host"]), attempt=int(data.get("attempt", 1)),
+            acquired_at=float(data.get("acquired_at", 0.0)),
+            heartbeat=float(data.get("heartbeat", 0.0)),
+        )
+    except (ValueError, KeyError, TypeError):
+        # Claimed but content not yet (fully) written: fall back to the
+        # file's mtime as the heartbeat so a crash exactly there still
+        # goes stale and gets reclaimed.
+        try:
+            mtime = path.stat().st_mtime
+        except OSError:
+            return None
+        return Lease(key="", pid=-1, host="", attempt=1,
+                     acquired_at=mtime, heartbeat=mtime)
+
+
+def release_lease(path: Path) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass  # already reclaimed; the first terminal outcome still wins
+
+
+def _pid_alive(pid: int) -> bool:
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # exists, owned by someone else
+    except OSError:
+        return True  # unknowable: do not declare death on a whim
+    return True
+
+
+def scan_stale_leases(lease_dir: Path, timeout_seconds: float
+                      ) -> List[Tuple[Path, Lease, str]]:
+    """Leases whose owner is provably dead or silent past the timeout.
+
+    A dead pid (same host only — a foreign host's pids mean nothing
+    here) is stale immediately; an alive-or-remote owner is stale only
+    once its heartbeat is older than ``timeout_seconds``.
+    """
+    stale = []
+    here = socket.gethostname()
+    now = time.time()
+    for path in sorted(Path(lease_dir).glob("*.lease")):
+        lease = read_lease(path)
+        if lease is None:
+            continue
+        if lease.host == here and not _pid_alive(lease.pid):
+            stale.append((path, lease, "dead_pid"))
+        elif now - lease.heartbeat > timeout_seconds:
+            stale.append((path, lease, "expired_heartbeat"))
+    return stale
+
+
+# ----------------------------------------------------------------------
+# Orphan-attempt accounting
+
+
+def attempts_path(lease_dir: Path, key: str) -> Path:
+    return Path(lease_dir) / f"{cell_hash(key)}.attempts"
+
+
+def read_attempts(lease_dir: Path, key: str) -> int:
+    """How many attempts this cell has already burned by being orphaned."""
+    try:
+        return int(attempts_path(lease_dir, key).read_text().strip())
+    except (OSError, ValueError):
+        return 0
+
+
+def bump_attempts(lease_dir: Path, key: str) -> int:
+    """Record one more orphaned attempt; returns the new total."""
+    total = read_attempts(lease_dir, key) + 1
+    try:
+        atomic_write_bytes(attempts_path(lease_dir, key),
+                           f"{total}\n".encode("utf-8"), fsync=False)
+    except OSError:
+        pass
+    return total
+
+
+# ----------------------------------------------------------------------
+# Heartbeats
+
+
+class _HeartbeatThread(threading.Thread):
+    """Background refresher for every lease this process holds.
+
+    Daemonic: if the process dies, the heartbeat dies with it — which
+    is precisely the signal a reclaim scan keys staleness off.
+    """
+
+    def __init__(self, interval_seconds: float):
+        super().__init__(name="lease-heartbeat", daemon=True)
+        self.interval = max(float(interval_seconds), 0.05)
+        self._lock = threading.Lock()
+        self._held: Dict[Path, Tuple[str, int, float]] = {}
+        self._stop = threading.Event()
+
+    def track(self, path: Path, key: str, attempt: int,
+              acquired_at: float) -> None:
+        with self._lock:
+            self._held[path] = (key, attempt, acquired_at)
+
+    def untrack(self, path: Path) -> None:
+        with self._lock:
+            self._held.pop(path, None)
+
+    def stop(self) -> None:
+        self._stop.set()
+
+    def run(self) -> None:
+        while not self._stop.wait(self.interval):
+            if scheduler._HEARTBEATS_SUPPRESSED:
+                continue
+            with self._lock:
+                held = list(self._held.items())
+            for path, (key, attempt, acquired_at) in held:
+                refresh_lease(path, key, attempt, acquired_at)
 
 
 class QueueFull(ExperimentError):

@@ -9,8 +9,8 @@ repository has already hardened one PR at a time:
 * tickets are content-addressed (:mod:`repro.service.tickets`) —
   duplicate submissions return the existing ticket;
 * accepted requests persist in a :class:`~repro.service.queue.DurableRequestQueue`
-  and are claimed with the scheduler's ``O_EXCL`` leases, heartbeats,
-  and stale-lease reclaim — a SIGKILLed worker's request is re-leased,
+  and are claimed with its ``O_EXCL`` lease files, heartbeats, and
+  stale-lease reclaim — a SIGKILLed worker's request is re-leased,
   never lost;
 * a ticket's state is its queue files (request, lease, outcome) and is
   stored nowhere else, so there is no second record to reconcile after
@@ -61,14 +61,15 @@ from repro.harness.budget import CellBudget, run_cell_with_budget
 from repro.harness.results import RunRecord
 from repro.harness.retry import RetryPolicy, run_with_retry
 from repro.harness.runner import run_cell
-from repro.harness.scheduler import (
-    EventLog,
+from repro.harness.scheduler import EventLog, load_event_segments
+from repro.noise import GraphPair
+from repro.service.queue import (
+    AlignmentRequest,
+    DurableRequestQueue,
+    QueueFull,
     _HeartbeatThread,
     lease_path,
-    load_event_segments,
 )
-from repro.noise import GraphPair
-from repro.service.queue import AlignmentRequest, DurableRequestQueue, QueueFull
 from repro.service.tickets import Ticket, TicketError
 
 __all__ = [

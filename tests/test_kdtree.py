@@ -1,4 +1,4 @@
-"""Tests for the from-scratch k-d tree, validated against SciPy's cKDTree."""
+"""Tests for the exact k-NN index, validated against SciPy's cKDTree."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.exceptions import AssignmentError
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("dim", [1, 2, 5, 10])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 10, 20])
     def test_matches_ckdtree(self, dim):
         rng = np.random.default_rng(dim)
         points = rng.random((200, dim))

@@ -1,19 +1,20 @@
-"""Unit and integration tests for the lease-coordinated sweep scheduler.
+"""Unit and integration tests for the pipe-driven sweep scheduler.
 
 The end-to-end chaos invariant (SIGKILL + corruption + resume ==
 bit-identical to serial) lives in ``tests/test_chaos.py``; this module
-covers the lease protocol, stale-lease detection, orphan-attempt
-accounting, shard reading, orphaned-worker shutdown, and the
-``workers`` == serial equivalence in the no-fault case.
+covers the ``workers`` == serial equivalence in the no-fault case, the
+supervisor's recovery paths (a worker lost mid-instance, the
+orphan-attempt bound), its file footprint, the recovery-event log, and
+orphaned-worker shutdown.  The lease-file primitives the alignment
+service uses are tested in ``tests/test_service.py``.
 """
 
 import json
 import os
-import socket
 import subprocess
 import sys
 import tempfile
-import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,23 +29,8 @@ from repro.harness import (
     run_experiment,
 )
 from repro.harness.journal import cell_key
-from repro.harness.scheduler import (
-    Lease,
-    ShardPaths,
-    _publish_done,
-    _read_done_keys,
-    _read_new_records,
-    bump_attempts,
-    cell_hash,
-    lease_path,
-    load_recovery_events,
-    read_attempts,
-    read_lease,
-    refresh_lease,
-    release_lease,
-    scan_stale_leases,
-    try_acquire_lease,
-)
+from repro.harness.results import ResultTable
+from repro.harness.scheduler import load_recovery_events
 from repro.noise import make_pair
 from repro.observability import counter_totals
 
@@ -66,161 +52,12 @@ def canonical(table):
     )
 
 
-class TestLeaseProtocol:
-    def test_acquire_is_exclusive(self, tmp_path):
-        first = try_acquire_lease(tmp_path, "cell-a")
-        assert first is not None
-        assert try_acquire_lease(tmp_path, "cell-a") is None
-        release_lease(first)
-        assert try_acquire_lease(tmp_path, "cell-a") is not None
-
-    def test_lease_carries_owner_identity(self, tmp_path):
-        path = try_acquire_lease(tmp_path, "cell-a", attempt=2)
-        lease = read_lease(path)
-        assert lease.key == "cell-a"
-        assert lease.pid == os.getpid()
-        assert lease.attempt == 2
-        assert lease.heartbeat > 0
-
-    def test_refresh_advances_heartbeat_atomically(self, tmp_path):
-        path = try_acquire_lease(tmp_path, "cell-a")
-        before = read_lease(path)
-        time.sleep(0.02)
-        refresh_lease(path, "cell-a", 1, before.acquired_at)
-        after = read_lease(path)
-        assert after.heartbeat > before.heartbeat
-        assert after.acquired_at == before.acquired_at
-        assert not list(tmp_path.glob(".*.tmp"))  # rename left no litter
-
-    def test_mid_write_lease_degrades_to_mtime(self, tmp_path):
-        path = lease_path(tmp_path, "cell-a")
-        path.write_text("{torn")
-        lease = read_lease(path)
-        assert lease is not None and lease.pid == -1
-        assert lease.heartbeat == pytest.approx(path.stat().st_mtime)
-
-    def test_release_tolerates_already_reclaimed(self, tmp_path):
-        release_lease(tmp_path / "never-existed.lease")  # no raise
-
-
-class TestStaleScan:
-    def test_live_fresh_lease_not_stale(self, tmp_path):
-        try_acquire_lease(tmp_path, "cell-a")
-        assert scan_stale_leases(tmp_path, timeout_seconds=30.0) == []
-
-    def test_dead_pid_stale_immediately(self, tmp_path):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        path = try_acquire_lease(tmp_path, "cell-a")
-        lease = read_lease(path)
-        dead = Lease(key=lease.key, pid=child.pid, host=lease.host,
-                     attempt=1, acquired_at=lease.acquired_at,
-                     heartbeat=time.time())
-        path.write_text(dead.to_json())
-        stale = scan_stale_leases(tmp_path, timeout_seconds=1000.0)
-        assert [(l.key, reason) for _, l, reason in stale] == \
-            [("cell-a", "dead_pid")]
-
-    def test_expired_heartbeat_stale(self, tmp_path):
-        path = try_acquire_lease(tmp_path, "cell-a")
-        lease = read_lease(path)
-        old = Lease(key=lease.key, pid=lease.pid, host=lease.host,
-                    attempt=1, acquired_at=lease.acquired_at,
-                    heartbeat=time.time() - 100.0)
-        path.write_text(old.to_json())
-        stale = scan_stale_leases(tmp_path, timeout_seconds=5.0)
-        assert [reason for _, _, reason in stale] == ["expired_heartbeat"]
-
-    def test_foreign_host_judged_only_by_heartbeat(self, tmp_path):
-        """A pid from another host means nothing locally — even a
-        'dead' one must wait out the heartbeat timeout."""
-        path = lease_path(tmp_path, "cell-a")
-        foreign = Lease(key="cell-a", pid=2, host="elsewhere", attempt=1,
-                        acquired_at=time.time(), heartbeat=time.time())
-        path.write_text(foreign.to_json())
-        assert scan_stale_leases(tmp_path, timeout_seconds=30.0) == []
-
-
-class TestAttemptAccounting:
-    def test_attempts_survive_reclaim_cycles(self, tmp_path):
-        assert read_attempts(tmp_path, "cell-a") == 0
-        assert bump_attempts(tmp_path, "cell-a") == 1
-        assert bump_attempts(tmp_path, "cell-a") == 2
-        assert read_attempts(tmp_path, "cell-a") == 2
-        assert read_attempts(tmp_path, "cell-b") == 0
-
-    def test_corrupt_attempts_file_reads_as_zero(self, tmp_path):
-        (tmp_path / f"{cell_hash('cell-a')}.attempts").write_text("junk")
-        assert read_attempts(tmp_path, "cell-a") == 0
-
-
-class TestShardMerge:
-    @staticmethod
-    def _record(algorithm):
-        return RunRecord(
-            algorithm=algorithm, dataset="pl", noise_type="one-way",
-            noise_level=0.0, repetition=0, assignment="jv",
-            measures={"accuracy": 1.0}, similarity_time=0.1,
-            assignment_time=0.1)
-
-    @staticmethod
-    def _merged(paths, workers, fingerprint):
-        records = {}
-        _read_new_records(paths, workers, fingerprint, {}, records)
-        return records
-
-    def test_merge_dedupes_first_shard_wins(self, tmp_path):
-        paths = ShardPaths(tmp_path / "J")
-        fp = "fp"
-        s0 = RunJournal(paths.shard(0), fingerprint=fp)
-        s0.append("k1", self._record("isorank"))
-        s0.close()
-        s1 = RunJournal(paths.shard(1), fingerprint=fp)
-        s1.append("k1", self._record("nsd"))  # duplicate key
-        s1.append("k2", self._record("nsd"))
-        s1.close()
-        merged = self._merged(paths, 2, fp)
-        assert set(merged) == {"k1", "k2"}
-        assert merged["k1"].algorithm == "isorank"
-
-    def test_merge_does_not_truncate_live_shards(self, tmp_path):
-        """Reading another worker's shard mid-append must never mutate
-        it — the torn tail belongs to its (live) owner."""
-        paths = ShardPaths(tmp_path / "J")
-        journal = RunJournal(paths.shard(0), fingerprint="fp")
-        journal.append("k1", self._record("isorank"))
-        journal.close()
-        with open(paths.shard(0), "a") as handle:
-            handle.write('{"kind": "record", "key": "k2"')  # mid-append
-        size_before = paths.shard(0).stat().st_size
-        merged = self._merged(paths, 1, "fp")
-        assert set(merged) == {"k1"}
-        assert paths.shard(0).stat().st_size == size_before
-
-    def test_merge_rejects_foreign_fingerprint(self, tmp_path):
-        paths = ShardPaths(tmp_path / "J")
-        journal = RunJournal(paths.shard(0), fingerprint="theirs")
-        journal.append("k1", self._record("isorank"))
-        journal.close()
-        with pytest.raises(ExperimentError, match="different experiment"):
-            self._merged(paths, 1, "ours")
-
-
-class TestDoneMarkers:
-    def test_done_keys_are_counted_by_marker_name(self, tmp_path):
-        # A marker whose content was lost still counts; a publish's temp
-        # leftover and a marker for a key outside the sweep do not.
-        paths = ShardPaths(tmp_path / "run.jsonl")
-        paths.ensure_dirs()
-        sweep = [cell_key("pl", "one-way", level, 0, name)
-                 for level in (0.0, 0.02) for name in ("isorank", "nsd")]
-        _publish_done(paths, sweep[0])
-        (paths.done_dir / f"{cell_hash(sweep[1])}.done").write_bytes(b"")
-        (paths.done_dir / f".{cell_hash(sweep[2])}.done.{os.getpid()}.0.tmp"
-         ).write_text(sweep[2] + "\n")
-        _publish_done(paths, cell_key("pl", "one-way", 0.05, 0, "nsd"))
-        markers = {f"{cell_hash(key)}.done": key for key in sweep}
-        assert _read_done_keys(paths, markers) == {sweep[0], sweep[1]}
+def _record(algorithm):
+    return RunRecord(
+        algorithm=algorithm, dataset="pl", noise_type="one-way",
+        noise_level=0.0, repetition=0, assignment="jv",
+        measures={"accuracy": 1.0}, similarity_time=0.1,
+        assignment_time=0.1)
 
 
 class TestShardedSweep:
@@ -287,24 +124,68 @@ class TestShardedSweep:
         assert all(r.noise_level > 0 for r in failed)
         assert all(r.error.startswith("ValueError: no pair") for r in failed)
 
-    def test_workers_sweep_removes_dead_supervisors_scratch(
-            self, tmp_path, monkeypatch):
-        """A SIGKILLed ``workers=N`` supervisor cannot remove its scratch
-        directory; the next sweep on the host removes every one whose
-        supervisor pid is dead and keeps a live supervisor's."""
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        prefix = f"repro-sweep-{socket.gethostname()}-"
-        dead = tmp_path / f"{prefix}{child.pid}-left"
-        live = tmp_path / f"{prefix}{os.getpid()}-busy"
-        for leftover in (dead, live):
-            (leftover / "sweep.jsonl.leases").mkdir(parents=True)
+    def test_workers_sweep_writes_only_its_journal(self, tmp_path,
+                                                    monkeypatch):
+        """The supervisor owns the queue, so a ``workers`` sweep needs no
+        scratch files: the temporary directory stays empty while its
+        workers run, and the journal's directory holds the journal alone."""
+        scratch, probe, out = (tmp_path / name
+                               for name in ("tmp", "probe", "out"))
+        for directory in (scratch, probe, out):
+            directory.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+        def listing_factory(graph, noise_type, level, seed):
+            (probe / f"{os.getpid()}-{seed}").write_text(
+                json.dumps(os.listdir(scratch)))
+            return make_pair(graph, noise_type, level, seed=seed)
+
         table = run_experiment(ExperimentConfig(workers=2, **BASE_CONFIG),
-                               {"pl": GRAPH})
+                               {"pl": GRAPH}, pair_factory=listing_factory,
+                               journal=str(out / "J"))
         assert len(table) == 4
-        assert not dead.exists()
-        assert list(tmp_path.glob(f"{prefix}{os.getpid()}-*")) == [live]
+        listings = sorted(probe.iterdir())
+        assert len(listings) == 2  # one pair per instance
+        assert not any(path.name.startswith(f"{os.getpid()}-")
+                       for path in listings)  # built inside the workers
+        assert [json.loads(path.read_text()) for path in listings] == [[], []]
+        assert os.listdir(out) == ["J"]
+
+    def test_worker_lost_mid_instance_keeps_finished_cells(self, tmp_path):
+        """A worker killed on an instance's second cell has already sent
+        the first cell's record: the supervisor keeps it, charges the cell
+        in flight one orphaned attempt, and re-runs that cell alone."""
+        spec = FaultSpec(mode="kill_worker", on_call=None,
+                         trigger_file=str(tmp_path / "killed-once"))
+        seen = []
+        with inject_fault("nsd", spec):
+            table = run_experiment(ExperimentConfig(workers=2, **BASE_CONFIG),
+                                   {"pl": GRAPH}, journal=str(tmp_path / "J"),
+                                   progress=seen.append)
+        assert (tmp_path / "killed-once").exists()
+        events = load_recovery_events(tmp_path / "J")
+        reclaims = [e for e in events if e["kind"] == "lease_reclaimed"]
+        assert [(e["reason"], e["attempts"]) for e in reclaims] == \
+            [("dead_pid", 1)]
+        assert [e["kind"] for e in events].count("worker_respawned") == 1
+        lost = reclaims[0]["key"]
+        dataset, noise_type, level, rep, name = lost.split("|")
+        assert name == "nsd"
+        kept = cell_key(dataset, noise_type, float(level), int(rep),
+                        "isorank")
+        records = {cell_key(r.dataset, r.noise_type, r.noise_level,
+                            r.repetition, r.algorithm): r
+                   for r in table.records}
+        assert records[lost].attempts == 2 and not records[lost].failed
+        assert records[kept].attempts == 1
+        assert RunJournal(tmp_path / "J").get(kept).attempts == 1
+        # Four cells, four reports: the kept record was never re-run.
+        assert len(seen) == len(set(seen)) == 4
+        serial = run_experiment(ExperimentConfig(**BASE_CONFIG),
+                                {"pl": GRAPH})
+        assert canonical(ResultTable(
+            [replace(r, attempts=1) for r in table.records])) == \
+            canonical(serial)
 
     def test_orphan_attempt_bound_yields_failed_record(self, tmp_path):
         """A cell whose worker dies on every attempt is recorded as failed
@@ -329,8 +210,7 @@ class TestRecoveryEventLog:
         assert load_recovery_events(tmp_path / "nowhere") == []
 
     def test_torn_tail_tolerated(self, tmp_path):
-        paths = ShardPaths(tmp_path / "J")
-        paths.events_path.write_text(
+        (tmp_path / "J.events.jsonl").write_text(
             json.dumps({"kind": "lease_reclaimed", "time": 1.0}) + "\n"
             + '{"kind": "lease_re')
         events = load_recovery_events(tmp_path / "J")
@@ -339,8 +219,8 @@ class TestRecoveryEventLog:
 
 class TestJournalForkGuard:
     def test_forked_append_names_both_pids_and_path(self, tmp_path):
-        journal = RunJournal(tmp_path / "J.shard00", fingerprint="fp")
-        record = TestShardMerge._record("isorank")
+        journal = RunJournal(tmp_path / "J", fingerprint="fp")
+        record = _record("isorank")
         journal.append("k1", record)
         pid = os.fork()
         if pid == 0:  # child: the append must fail loudly, not corrupt
@@ -350,7 +230,7 @@ class TestJournalForkGuard:
                 message = str(exc)
                 ok = (str(os.getpid()) in message
                       and str(os.getppid()) in message
-                      and "J.shard00" in message
+                      and str(journal.path) in message
                       and "fork" in message)
                 os._exit(0 if ok else 1)
             except BaseException:
@@ -359,8 +239,8 @@ class TestJournalForkGuard:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
         journal.close()
-        # The parent-owned shard is uncorrupted: one record, loadable.
-        assert set(RunJournal(tmp_path / "J.shard00").keys) == {"k1"}
+        # The parent-owned journal is uncorrupted: one record, loadable.
+        assert set(RunJournal(tmp_path / "J").keys) == {"k1"}
 
 
 class TestEventLogRotation:
@@ -415,9 +295,8 @@ class TestEventLogRotation:
 
     def test_load_recovery_events_spans_rotated_segments(self, tmp_path):
         from repro.harness.scheduler import EventLog
-        paths = ShardPaths(tmp_path / "J")
-        paths.ensure_dirs()
-        log = EventLog(paths.events_path, max_bytes=256, max_segments=100)
+        log = EventLog(tmp_path / "J.events.jsonl", max_bytes=256,
+                       max_segments=100)
         for index in range(40):
             log.record("lease_reclaimed", key=f"cell-{index:03d}",
                        reason="dead_pid")
@@ -425,58 +304,6 @@ class TestEventLogRotation:
         events = load_recovery_events(tmp_path / "J")
         assert len(events) == 40
         assert all(e["reason"] == "dead_pid" for e in events)
-
-
-WORKER_DRAIN_DRIVER = """\
-import os, sys, time
-from pathlib import Path
-from repro.graphs import powerlaw_cluster_graph
-from repro.harness import ExperimentConfig, config_fingerprint
-from repro.harness.scheduler import ShardPaths, _shard_worker_main
-from repro.noise import make_pair
-
-base = sys.argv[1]
-ShardPaths(base).ensure_dirs()  # normally the supervisor's job
-config = ExperimentConfig(name="drain", algorithms=["isorank"],
-                          noise_levels=(0.0,), repetitions=1, seed=7)
-graph = powerlaw_cluster_graph(40, 3, 0.3, seed=5)
-
-def stalling_factory(graph, noise_type, level, seed):
-    Path(base + ".ready").touch()
-    time.sleep(120)  # hold the lease until the parent SIGTERMs us
-    return make_pair(graph, noise_type, level, seed=seed)
-
-_shard_worker_main(0, base, config, {"pl": graph}, stalling_factory,
-                   config_fingerprint(config), os.getppid())
-"""
-
-
-class TestWorkerSigtermDrain:
-    def test_sigterm_releases_lease_and_tombstones_attempt(self, tmp_path):
-        """A drained worker must exit 0 with its lease released and the
-        burned attempt tombstoned — nothing left for stale reclaim."""
-        base = tmp_path / "J"
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
-                                   if env.get("PYTHONPATH") else "")
-        worker = subprocess.Popen(
-            [sys.executable, "-c", WORKER_DRAIN_DRIVER, str(base)],
-            env=env, stderr=subprocess.PIPE, text=True)
-        try:
-            ready = Path(str(base) + ".ready")
-            deadline = time.time() + 60
-            while time.time() < deadline and not ready.exists():
-                time.sleep(0.05)
-            assert ready.exists(), "worker never claimed a cell"
-            worker.terminate()  # SIGTERM mid-cell, lease held
-            assert worker.wait(timeout=60) == 0, worker.stderr.read()
-        finally:
-            worker.kill()
-        paths = ShardPaths(base)
-        assert list(paths.lease_dir.glob("*.lease")) == []
-        key = "pl|one-way|0.000000|0|isorank"
-        assert read_attempts(paths.lease_dir, key) == 1
 
 
 # A workers=2 sweep of 100 instances, each ~0.2 s of pair building (about

@@ -1,7 +1,9 @@
 """Unit and property tests for the alignment service front-end.
 
-Covers the durable request queue (admission, claims, stale-lease
-reclaim, ticket state derived from its files), and the service itself:
+Covers the lease-file primitives under the queue (exclusive claims,
+heartbeats, stale-lease detection, attempt tombstones), the durable
+request queue (admission, claims, stale-lease reclaim, ticket state
+derived from its files), and the service itself:
 idempotent submission under concurrent races (hypothesis),
 backpressure, deadlines, cancellation, drain, and restart recovery.
 The SIGKILL chaos scenario lives in ``test_service_chaos.py``.
@@ -9,6 +11,7 @@ The SIGKILL chaos scenario lives in ``test_service_chaos.py``.
 
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -22,7 +25,6 @@ from repro.exceptions import ExperimentError
 from repro.graphs.generators import erdos_renyi_graph
 from repro.harness.results import RunRecord
 from repro.harness.runner import run_cell
-from repro.harness.scheduler import lease_path, try_acquire_lease
 from repro.noise import GraphPair, make_pair
 from repro.service import (
     DEFAULT_MEASURES,
@@ -36,6 +38,18 @@ from repro.service import (
     load_service_events,
     read_health,
     ticket_key,
+)
+from repro.service.queue import (
+    Lease,
+    bump_attempts,
+    cell_hash,
+    lease_path,
+    read_attempts,
+    read_lease,
+    refresh_lease,
+    release_lease,
+    scan_stale_leases,
+    try_acquire_lease,
 )
 
 G1 = erdos_renyi_graph(16, 0.3, seed=1)
@@ -63,6 +77,94 @@ def request_for(seed=0, **overrides):
                    algorithm="isorank", seed=seed)
     options.update(overrides)
     return AlignmentRequest(**options)
+
+
+class TestLeaseProtocol:
+    def test_acquire_is_exclusive(self, tmp_path):
+        first = try_acquire_lease(tmp_path, "cell-a")
+        assert first is not None
+        assert try_acquire_lease(tmp_path, "cell-a") is None
+        release_lease(first)
+        assert try_acquire_lease(tmp_path, "cell-a") is not None
+
+    def test_lease_carries_owner_identity(self, tmp_path):
+        path = try_acquire_lease(tmp_path, "cell-a", attempt=2)
+        lease = read_lease(path)
+        assert lease.key == "cell-a"
+        assert lease.pid == os.getpid()
+        assert lease.attempt == 2
+        assert lease.heartbeat > 0
+
+    def test_refresh_advances_heartbeat_atomically(self, tmp_path):
+        path = try_acquire_lease(tmp_path, "cell-a")
+        before = read_lease(path)
+        time.sleep(0.02)
+        refresh_lease(path, "cell-a", 1, before.acquired_at)
+        after = read_lease(path)
+        assert after.heartbeat > before.heartbeat
+        assert after.acquired_at == before.acquired_at
+        assert not list(tmp_path.glob(".*.tmp"))  # rename left no litter
+
+    def test_mid_write_lease_degrades_to_mtime(self, tmp_path):
+        path = lease_path(tmp_path, "cell-a")
+        path.write_text("{torn")
+        lease = read_lease(path)
+        assert lease is not None and lease.pid == -1
+        assert lease.heartbeat == pytest.approx(path.stat().st_mtime)
+
+    def test_release_tolerates_already_reclaimed(self, tmp_path):
+        release_lease(tmp_path / "never-existed.lease")  # no raise
+
+
+class TestStaleScan:
+    def test_live_fresh_lease_not_stale(self, tmp_path):
+        try_acquire_lease(tmp_path, "cell-a")
+        assert scan_stale_leases(tmp_path, timeout_seconds=30.0) == []
+
+    def test_dead_pid_stale_immediately(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        path = try_acquire_lease(tmp_path, "cell-a")
+        lease = read_lease(path)
+        dead = Lease(key=lease.key, pid=child.pid, host=lease.host,
+                     attempt=1, acquired_at=lease.acquired_at,
+                     heartbeat=time.time())
+        path.write_text(dead.to_json())
+        stale = scan_stale_leases(tmp_path, timeout_seconds=1000.0)
+        assert [(l.key, reason) for _, l, reason in stale] == \
+            [("cell-a", "dead_pid")]
+
+    def test_expired_heartbeat_stale(self, tmp_path):
+        path = try_acquire_lease(tmp_path, "cell-a")
+        lease = read_lease(path)
+        old = Lease(key=lease.key, pid=lease.pid, host=lease.host,
+                    attempt=1, acquired_at=lease.acquired_at,
+                    heartbeat=time.time() - 100.0)
+        path.write_text(old.to_json())
+        stale = scan_stale_leases(tmp_path, timeout_seconds=5.0)
+        assert [reason for _, _, reason in stale] == ["expired_heartbeat"]
+
+    def test_foreign_host_judged_only_by_heartbeat(self, tmp_path):
+        """A pid from another host means nothing locally — even a
+        'dead' one must wait out the heartbeat timeout."""
+        path = lease_path(tmp_path, "cell-a")
+        foreign = Lease(key="cell-a", pid=2, host="elsewhere", attempt=1,
+                        acquired_at=time.time(), heartbeat=time.time())
+        path.write_text(foreign.to_json())
+        assert scan_stale_leases(tmp_path, timeout_seconds=30.0) == []
+
+
+class TestAttemptAccounting:
+    def test_attempts_survive_reclaim_cycles(self, tmp_path):
+        assert read_attempts(tmp_path, "cell-a") == 0
+        assert bump_attempts(tmp_path, "cell-a") == 1
+        assert bump_attempts(tmp_path, "cell-a") == 2
+        assert read_attempts(tmp_path, "cell-a") == 2
+        assert read_attempts(tmp_path, "cell-b") == 0
+
+    def test_corrupt_attempts_file_reads_as_zero(self, tmp_path):
+        (tmp_path / f"{cell_hash('cell-a')}.attempts").write_text("junk")
+        assert read_attempts(tmp_path, "cell-a") == 0
 
 
 class TestTicketKey:
