@@ -9,6 +9,7 @@ iteration stay lean.
 from benchmarks.helpers import (
     ALL_ALGORITHMS,
     emit,
+    node_cap,
     paper_note,
     run_matrix,
     stage_breakdown,
@@ -52,14 +53,18 @@ def test_fig13_memory_vs_nodes(benchmark, profile, results_dir):
                     "could not fit the largest size in the paper."))
 
     exps = sorted(profile.scalability_exponents)
-    lo, hi = f"n=2^{exps[0]:02d}", f"n=2^{exps[-1]:02d}"
-    # Quadratic growth for a dense-matrix method: 2^3 size ratio should give
-    # well over 8x memory for IsoRank (n^2 state) in its similarity stage.
+    # IsoRank's largest size within its emulated node cap: above it the
+    # cell is a budget failure with no trace to read.
+    top = max(e for e in exps if 2 ** e <= node_cap("isorank", profile))
+    lo, hi = f"n=2^{exps[0]:02d}", f"n=2^{top:02d}"
+    # Quadratic growth for a dense-matrix method: a 2^k size ratio should
+    # give well over 2^k memory for IsoRank (n^2 state) in its similarity
+    # stage.
     m_lo = table.mean("trace:similarity:peak_memory_bytes",
                       algorithm="isorank", dataset=lo)
     m_hi = table.mean("trace:similarity:peak_memory_bytes",
                       algorithm="isorank", dataset=hi)
-    size_ratio = 2 ** (exps[-1] - exps[0])
+    size_ratio = 2 ** (top - exps[0])
     assert m_hi > m_lo * size_ratio  # super-linear
     # NSD's factored iteration uses far less than IsoRank at the top size.
     nsd_hi = table.mean("trace:similarity:peak_memory_bytes",

@@ -4,7 +4,9 @@ Pipeline, following Heimann et al. (2018):
 
 1. **Structural features** — for every node, a histogram of the degrees in
    its k-hop neighborhoods, with degrees binned into logarithmic buckets and
-   hop ``k`` discounted by ``delta**(k-1)`` (paper Eq. 8).
+   hop ``k`` discounted by ``delta**(k-1)`` (paper Eq. 8).  The k-hop
+   rings of all nodes come from sparse frontier products, streamed in row
+   blocks under a fixed element budget.
 2. **Landmark similarities** — ``p`` random landmark nodes are drawn from
    the union of both graphs; every node's similarity to each landmark is
    ``exp(-gamma * ||d_u - d_l||^2)`` (paper Eq. 9, structure-only).
@@ -18,17 +20,48 @@ to nearest-neighbor queries between the two embedding sets.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.cache import cached_artifact
 from repro.exceptions import AlgorithmError
 from repro.graphs.generators import SeedLike, as_rng
 from repro.graphs.graph import Graph
-from repro.graphs.operations import bfs_distances
 
 __all__ = ["structural_features", "xnetmf_embeddings"]
+
+# Budget (in elements) for one streamed row block of the frontier
+# products: a block of b rows spans b * n <= 1M entries, so its frontiers
+# and seen set stay bounded however far a hub fans out (a star graph's
+# hop-2 frontier is n^2); the traced peak is ~18 bytes per element.
+_BLOCK_ELEMENTS = 1_000_000
+
+
+def _hop_rings(pattern: sparse.csr_matrix, lo: int, hi: int,
+               max_hops: int) -> Iterator[sparse.csr_matrix]:
+    """Yield the hop-1 .. ``max_hops`` frontiers of source nodes ``lo:hi``.
+
+    ``pattern`` is the boolean adjacency.  Row ``u`` of the hop-``k``
+    frontier holds the nodes at hop distance exactly ``k`` from
+    ``lo + u``: the hop-1 frontier is ``A``'s row, and the hop-``k`` one is
+    the hop-``(k-1)`` frontier times ``A`` minus every node seen so far,
+    self included.  Stops once every row's frontier is empty.
+    """
+    rows, n = hi - lo, pattern.shape[0]
+    frontier = pattern[lo:hi]
+    seen = frontier + sparse.csr_matrix(
+        (np.ones(rows, dtype=bool), np.arange(lo, hi), np.arange(rows + 1)),
+        shape=(rows, n))
+    for hop in range(1, max_hops + 1):
+        if frontier.nnz == 0:
+            return
+        yield frontier
+        if hop == max_hops:
+            return
+        frontier = (frontier @ pattern) > seen  # reached and not yet seen
+        seen = seen + frontier
 
 
 def structural_features(
@@ -54,16 +87,23 @@ def structural_features(
         )
 
     def produce() -> np.ndarray:
-        features = np.zeros((graph.num_nodes, width))
+        n = graph.num_nodes
+        features = np.zeros((n, width))
         bucket = np.floor(np.log2(np.maximum(degrees, 1))).astype(np.int64)
-        for u in range(graph.num_nodes):
-            dist = bfs_distances(graph, u, max_depth=max_hops)
-            for k in range(1, max_hops + 1):
-                members = np.flatnonzero(dist == k)
-                if members.size == 0:
-                    break
-                hist = np.bincount(bucket[members], minlength=width)
-                features[u] += (delta ** (k - 1)) * hist
+        pattern = graph.adjacency().astype(bool)
+        one_hot = sparse.csr_matrix(
+            (np.ones(n, dtype=np.int64), bucket, np.arange(n + 1)),
+            shape=(n, width))
+        block = max(1, _BLOCK_ELEMENTS // max(n, 1))
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            rows = features[lo:hi]
+            for k, ring in enumerate(_hop_rings(pattern, lo, hi, max_hops),
+                                     start=1):
+                hist = (ring @ one_hot).toarray()
+                # A node whose ring is empty stops there, as a BFS would.
+                np.add(rows, (delta ** (k - 1)) * hist, out=rows,
+                       where=(np.diff(ring.indptr) > 0)[:, np.newaxis])
         return features
 
     # Keyed on the *resolved* width, so "default width for this graph"

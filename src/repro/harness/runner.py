@@ -25,7 +25,8 @@ from repro.algorithms.base import AlignmentAlgorithm
 from repro.cache import ArtifactCache, active_cache, artifact_cache
 from repro.context import RunContext, current_context
 from repro.diagnostics import capture_diagnostics
-from repro.observability import capture_trace, span
+from repro.observability import (capture_trace, reset_traced_peak, span,
+                                 traced_peak)
 from repro.harness.config import ExperimentConfig
 from repro.harness.journal import (
     RunJournal,
@@ -80,6 +81,7 @@ def run_on_pair(
     peak = 0
     if track_memory and not tracemalloc.is_tracing():
         tracemalloc.start()
+        reset_traced_peak()
         own_tracemalloc = True
     else:
         own_tracemalloc = False
@@ -91,7 +93,8 @@ def run_on_pair(
                                   result.mapping, pair.ground_truth)
     finally:
         if own_tracemalloc:
-            _current, peak = tracemalloc.get_traced_memory()
+            # Spans reset tracemalloc's peak; traced_peak spans them all.
+            peak = traced_peak()
             tracemalloc.stop()
     return {
         "measures": {key: values[key] for key in measures if key in values},

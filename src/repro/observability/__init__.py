@@ -14,10 +14,12 @@ from repro.observability.trace import (
     Trace,
     capture_trace,
     counter_totals,
+    reset_traced_peak,
     span,
     stage_rollup,
     trace_clock,
     trace_structure,
+    traced_peak,
     tracing,
     tracing_enabled,
 )
@@ -29,10 +31,12 @@ __all__ = [
     "add_counter",
     "capture_trace",
     "counter_totals",
+    "reset_traced_peak",
     "span",
     "stage_rollup",
     "trace_clock",
     "trace_structure",
+    "traced_peak",
     "tracing",
     "tracing_enabled",
 ]

@@ -34,7 +34,10 @@ uses it to stream partial traces out of a child process before a kill.
 Memory attribution uses :mod:`tracemalloc` windows when tracing is on
 (``tracemalloc.reset_peak`` per span, with child peaks folded into their
 ancestors so a parent's peak is never below a child's) and falls back to
-RSS high-water sampling otherwise.
+RSS high-water sampling otherwise.  Every reset first folds the closing
+window's peak into a process-wide high-water mark, so the owner of the
+tracemalloc session still reads its true peak through
+:func:`traced_peak` (the runner's whole-cell peak).
 
 Enable with the :func:`tracing` scope (the ``trace`` field of the
 current run context); the harness runs each cell under a context that
@@ -66,6 +69,8 @@ __all__ = [
     "stage_rollup",
     "counter_totals",
     "trace_structure",
+    "reset_traced_peak",
+    "traced_peak",
 ]
 
 # Injectable clocks (the golden-trace tests swap in a fake monotonic
@@ -226,22 +231,55 @@ def _rss_bytes() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
 
 
+# tracemalloc keeps one peak per process, and every span resets it to
+# open its own window; the peak of each window a span closes lands here,
+# process-wide like the peak it extends.
+_HIGH_WATER = 0
+_HIGH_WATER_LOCK = threading.Lock()
+
+
+def _close_window() -> int:
+    """The current tracemalloc window's peak; then start a fresh window."""
+    global _HIGH_WATER
+    with _HIGH_WATER_LOCK:
+        peak = tracemalloc.get_traced_memory()[1]
+        _HIGH_WATER = max(_HIGH_WATER, peak)
+        tracemalloc.reset_peak()
+    return peak
+
+
+def reset_traced_peak() -> None:
+    """Start the window that :func:`traced_peak` measures."""
+    global _HIGH_WATER
+    with _HIGH_WATER_LOCK:
+        _HIGH_WATER = 0
+        tracemalloc.reset_peak()
+
+
+def traced_peak() -> int:
+    """Peak traced bytes since :func:`reset_traced_peak`.
+
+    Spans reset tracemalloc's peak to measure their own windows; this
+    still covers every one of those windows.  0 unless tracemalloc runs.
+    """
+    if not tracemalloc.is_tracing():
+        return 0
+    return max(_HIGH_WATER, tracemalloc.get_traced_memory()[1])
+
+
 def _enter_memory(state: _TraceState) -> None:
     if tracemalloc.is_tracing():
         # The window peak accumulated so far belongs to the parent; fold
         # it in before starting a fresh window for this span.
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = _close_window()
         if state.stack:
             parent = state.stack[-1]
             parent.child_peak = max(parent.child_peak, peak)
-        tracemalloc.reset_peak()
 
 
 def _exit_memory(state: _TraceState, frame: _Frame) -> int:
     if tracemalloc.is_tracing():
-        peak = tracemalloc.get_traced_memory()[1]
-        measured = max(peak, frame.child_peak)
-        tracemalloc.reset_peak()
+        measured = max(_close_window(), frame.child_peak)
     else:
         measured = max(_rss_bytes(), frame.child_peak)
     # Fold into the parent so peak memory is monotone along the tree.

@@ -15,15 +15,20 @@ from repro.algorithms import (
     Regal,
     SGWL,
 )
+from repro.algorithms.isorank import _mass_preserving
 from repro.exceptions import AlgorithmError
 from repro.graphs import (
+    Graph,
     barabasi_albert_graph,
     erdos_renyi_graph,
     powerlaw_cluster_graph,
     random_regular_graph,
 )
+from repro.graphs.matrices import column_stochastic
+from repro.graphs.operations import induced_subgraph
 from repro.measures import accuracy
 from repro.noise import make_pair
+from repro.observability import capture_trace, tracing
 from repro.util import degree_prior
 
 PL = powerlaw_cluster_graph(80, 3, 0.3, seed=21)
@@ -56,12 +61,101 @@ class TestIsoRank:
         sim = IsoRank().similarity(PL_PAIR.source, PL_PAIR.target)
         assert sim.sum() == pytest.approx(1.0, rel=1e-3)
 
+    def test_zero_prior_rejected(self):
+        # Every source node isolated, no target node: the degree prior
+        # is zero everywhere.
+        with pytest.raises(AlgorithmError, match="sums to zero"):
+            IsoRank().similarity(Graph(3), PL_PAIR.target)
+
     def test_degree_prior_helper(self):
         sim = degree_prior(np.array([4, 0]), np.array([4, 2, 0]))
         assert sim[0, 0] == 1.0
         assert sim[0, 1] == pytest.approx(0.5)
         assert sim[1, 2] == 1.0  # both isolated -> perfectly similar
         assert sim[1, 0] == 0.0
+
+
+def reference_isorank(alg, source, target):
+    """The dense, renormalized power iteration: ``(similarity, sweeps)``."""
+    e = alg._prior_matrix(source, target)
+    op_a = column_stochastic(source)
+    op_b = column_stochastic(target)
+    r = e.copy()
+    sweeps = 0
+    for _ in range(alg.iterations):
+        updated = alg.alpha * (op_a @ r @ op_b.T) + (1.0 - alg.alpha) * e
+        total = updated.sum()
+        if total > 0:
+            updated /= total
+        delta = np.abs(updated - r).sum()
+        r = updated
+        sweeps += 1
+        if delta < alg.tol:
+            break
+    return r, sweeps
+
+
+def _without_isolated(graph):
+    return induced_subgraph(graph, np.flatnonzero(graph.degrees > 0))
+
+
+def _with_isolated(graph, count=3):
+    return Graph(graph.num_nodes + count, graph.edges())
+
+
+_ORACLE_MODELS = {
+    "er": lambda n: erdos_renyi_graph(n, 8 / (n - 1), seed=n),
+    "pl": lambda n: powerlaw_cluster_graph(n, 3, 0.3, seed=n),
+    "ba": lambda n: barabasi_albert_graph(n, 3, seed=n),
+}
+
+# Which inputs run the dense loop: the degree prior leaks mass only when
+# both graphs have an isolated node, the uniform prior when either does.
+_DENSE_LOOP = {
+    ("degree", "neither"): False, ("degree", "source"): False,
+    ("degree", "target"): False, ("degree", "both"): True,
+    ("uniform", "neither"): False, ("uniform", "source"): True,
+    ("uniform", "target"): True, ("uniform", "both"): True,
+}
+
+
+class TestIsoRankOracle:
+    """The factored iteration against the dense loop it replaces."""
+
+    @pytest.mark.parametrize("isolated", ["neither", "source", "target",
+                                          "both"])
+    @pytest.mark.parametrize("n", [60, 150, 400])
+    @pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
+    def test_matches_dense_loop(self, model, n, isolated):
+        pair = make_pair(_ORACLE_MODELS[model](n), "one-way", 0.05, seed=n)
+        source = _without_isolated(pair.source)
+        target = _without_isolated(pair.target)
+        if isolated in ("source", "both"):
+            source = _with_isolated(source)
+        if isolated in ("target", "both"):
+            target = _with_isolated(target)
+        for prior in ("degree", "uniform"):
+            dense = not _mass_preserving(prior, source.degrees,
+                                         target.degrees)
+            assert dense == _DENSE_LOOP[prior, isolated]
+            for alpha in (0.0, 0.5, 0.9, 1.0):
+                alg = IsoRank(alpha=alpha, prior=prior)
+                expected, expected_sweeps = reference_isorank(alg, source,
+                                                              target)
+                with tracing(True), capture_trace() as trace:
+                    sim = alg.similarity(source, target)
+                err = np.abs(sim - expected).max() / np.abs(expected).max()
+                assert err <= 1e-12, (prior, alpha, err)
+                assert trace.counters == {"power_iterations":
+                                          expected_sweeps}, (prior, alpha)
+
+    def test_first_iterate_is_the_prior(self):
+        """No sweep at all returns the cached prior's values unchanged."""
+        alg = IsoRank(iterations=0)
+        sim = alg.similarity(PL_PAIR.source, PL_PAIR.target)
+        assert np.array_equal(sim,
+                              alg._prior_matrix(PL_PAIR.source,
+                                                PL_PAIR.target))
 
 
 class TestNSD:

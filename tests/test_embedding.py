@@ -1,13 +1,50 @@
 """Tests for the embedding substrate (xNetMF and NetMF)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.embedding import netmf_embeddings, structural_features, xnetmf_embeddings
+from repro.embedding import xnetmf
 from repro.exceptions import AlgorithmError
 from repro.graphs import Graph, path_graph, star_graph
-from repro.graphs.operations import permute_graph
+from repro.graphs.operations import bfs_distances, permute_graph
 from repro.util import pairwise_sq_dists
+
+
+def reference_structural_features(graph, max_hops=2, delta=0.1,
+                                  num_buckets=None):
+    """One BFS per node: the per-node loop the frontier products replace."""
+    degrees = graph.degrees.astype(np.int64)
+    max_deg = int(degrees.max()) if degrees.size else 0
+    needed = int(np.floor(np.log2(max(max_deg, 1)))) + 1
+    width = needed if num_buckets is None else int(num_buckets)
+    features = np.zeros((graph.num_nodes, width))
+    bucket = np.floor(np.log2(np.maximum(degrees, 1))).astype(np.int64)
+    for u in range(graph.num_nodes):
+        dist = bfs_distances(graph, u, max_depth=max_hops)
+        for k in range(1, max_hops + 1):
+            members = np.flatnonzero(dist == k)
+            if members.size == 0:
+                break
+            hist = np.bincount(bucket[members], minlength=width)
+            features[u] += (delta ** (k - 1)) * hist
+    return features
+
+
+@st.composite
+def random_graphs(draw):
+    """Small simple graphs, edgeless and single-node ones included; most
+    carry isolated nodes."""
+    n = draw(st.integers(1, 40))
+    if n == 1:
+        return Graph(1)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=4 * n))
+             if u != v]
+    return Graph(n, edges)
 
 
 class TestStructuralFeatures:
@@ -40,6 +77,49 @@ class TestStructuralFeatures:
         feats = structural_features(pl_graph)
         feats_perm = structural_features(permuted)
         assert np.allclose(feats, feats_perm[perm])
+
+    @given(graph=random_graphs(), max_hops=st.integers(1, 4),
+           delta=st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0, 2.5]),
+           extra_width=st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_node_bfs(self, graph, max_hops, delta, extra_width):
+        """Frontier products repeat the BFS loop's float operations."""
+        degrees = graph.degrees
+        width = int(np.floor(np.log2(max(int(degrees.max()), 1)))) + 1
+        width += extra_width
+        expected = reference_structural_features(graph, max_hops, delta,
+                                                 num_buckets=width)
+        got = structural_features(graph, max_hops, delta, num_buckets=width)
+        assert np.array_equal(got, expected)
+
+    def test_matches_per_node_bfs_across_row_blocks(self, pl_graph,
+                                                    monkeypatch):
+        monkeypatch.setattr(xnetmf, "_BLOCK_ELEMENTS", 7 * pl_graph.num_nodes)
+        for hops in (1, 3):
+            assert np.array_equal(
+                structural_features(pl_graph, max_hops=hops, delta=0.3),
+                reference_structural_features(pl_graph, hops, 0.3))
+
+    def test_star_graph_streams_within_block_budget(self):
+        """A star's hop-2 frontier is n^2 entries; row blocks keep the
+        traced peak to a fixed multiple of the element budget."""
+        n = 3000
+        graph = star_graph(n)
+        graph.adjacency()
+        budget_bytes = 32 * xnetmf._BLOCK_ELEMENTS
+        # Unblocked, the frontier's indices alone would exceed the bound.
+        assert 4 * n * n > budget_bytes
+        tracemalloc.start()
+        try:
+            feats = structural_features(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget_bytes
+        # A leaf sees the hub (degree n - 1, bucket 11) at hop 1 and the
+        # other n - 2 leaves (bucket 0) at hop 2.
+        assert feats[1, 11] == 1
+        assert feats[1, 0] == pytest.approx(0.1 * (n - 2))
 
 
 class TestXnetmf:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.context import RunContext
 from repro.exceptions import ExperimentError
-from repro.graphs import powerlaw_cluster_graph
+from repro.graphs import erdos_renyi_graph, powerlaw_cluster_graph
 from repro.harness import (
     ExperimentConfig,
     Profile,
@@ -18,6 +19,7 @@ from repro.harness import (
 )
 from repro.algorithms import get_algorithm
 from repro.noise import make_pair
+from repro.observability import Span
 
 GRAPH = powerlaw_cluster_graph(60, 3, 0.3, seed=31)
 PAIR = make_pair(GRAPH, "one-way", 0.02, seed=32)
@@ -104,6 +106,24 @@ class TestRunCell:
         record = run_cell("isorank", PAIR, "pl", repetition=0,
                           algorithm_params={"alpha": 0.5})
         assert not record.failed
+
+    @pytest.mark.parametrize("algorithm", ["isorank", "regal"])
+    def test_traced_peak_memory_is_the_whole_cell_peak(self, algorithm):
+        """Spans reset tracemalloc's peak to measure their own windows;
+        the record still reports the peak of the whole cell."""
+        pair = make_pair(erdos_renyi_graph(300, 10 / 299, seed=5),
+                         "one-way", 0.02, seed=3)
+        plain, traced = (
+            run_cell(algorithm, pair, "er", repetition=0, track_memory=True,
+                     context=RunContext(trace=trace))
+            for trace in (False, True))
+        assert traced.peak_memory_bytes == pytest.approx(
+            plain.peak_memory_bytes, rel=0.05)
+        spans = [Span.from_dict(root) for root in traced.trace["spans"]]
+        assert spans
+        for root in spans:
+            for stage in root.walk():
+                assert traced.peak_memory_bytes >= stage.peak_memory_bytes
 
 
 class TestRunCellBroadFailureNet:

@@ -10,10 +10,12 @@ from repro.observability import (
     add_counter,
     capture_trace,
     counter_totals,
+    reset_traced_peak,
     span,
     stage_rollup,
     trace_clock,
     trace_structure,
+    traced_peak,
     tracing,
     tracing_enabled,
 )
@@ -193,6 +195,27 @@ class TestMemoryAttribution:
         (child,) = parent.children
         assert child.peak_memory_bytes > 0
         assert parent.peak_memory_bytes >= child.peak_memory_bytes
+
+    def test_traced_peak_survives_span_resets(self):
+        tracemalloc.start()
+        try:
+            reset_traced_peak()
+            with tracing(True), capture_trace() as trace:
+                with span("hoarding"):
+                    hoard = [0] * 300_000
+                    del hoard
+                with span("idle"):
+                    pass
+            # The span resets left tracemalloc's own peak far below the
+            # hoard; the high-water mark still holds it.
+            assert tracemalloc.get_traced_memory()[1] < 300_000 * 8
+            assert traced_peak() >= trace.spans[0].peak_memory_bytes
+            assert traced_peak() >= 300_000 * 8
+            reset_traced_peak()
+            assert traced_peak() < 300_000 * 8
+        finally:
+            tracemalloc.stop()
+        assert traced_peak() == 0
 
 
 class TestSpanSerialization:
