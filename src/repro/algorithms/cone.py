@@ -30,6 +30,8 @@ consistency, which is why the paper finds it strongest on the MNC measure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.algorithms.base import AlgorithmInfo, AlignmentAlgorithm, register_algorithm
@@ -92,6 +94,20 @@ class Cone(AlignmentAlgorithm):
                  init: str = "structural", init_iterations: int = 10):
         if dim < 1:
             raise AlgorithmError(f"dim must be >= 1, got {dim}")
+        if window < 1:
+            raise AlgorithmError(f"window must be >= 1, got {window}")
+        if not (math.isfinite(negative) and negative > 0):
+            raise AlgorithmError(
+                f"negative must be finite and > 0, got {negative}")
+        if iterations < 0:
+            raise AlgorithmError(
+                f"iterations must be >= 0, got {iterations}")
+        if sinkhorn_iter < 1:
+            raise AlgorithmError(
+                f"sinkhorn_iter must be >= 1, got {sinkhorn_iter}")
+        if init_iterations < 0:
+            raise AlgorithmError(
+                f"init_iterations must be >= 0, got {init_iterations}")
         if init not in ("structural", "frank-wolfe"):
             raise AlgorithmError(
                 f"init must be 'structural' or 'frank-wolfe', got {init!r}"

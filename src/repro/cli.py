@@ -40,19 +40,18 @@ __all__ = ["main", "build_parser"]
 
 
 def _add_sketch_arguments(parser: argparse.ArgumentParser) -> None:
-    """Sketched-kernel knobs, shared by ``align`` and ``experiment``."""
+    """Sparse-similarity knobs, shared by ``align`` and ``experiment``."""
     from repro.sketch import SketchPolicy
 
     parser.add_argument("--sketch", action="store_true",
                         help="above --sketch-threshold nodes, use "
-                             "randomized (sketched) spectral/embedding "
-                             "kernels and sparse top-k similarity; below "
-                             "it results are bit-identical to an exact "
-                             "run")
+                             "sparse top-k similarity (eigenpairs and "
+                             "embeddings stay exact); below it results "
+                             "are bit-identical to an exact run")
     parser.add_argument("--sketch-threshold", type=int,
                         default=SketchPolicy.threshold, metavar="N",
-                        help="graph size above which sketching applies "
-                             f"(default {SketchPolicy.threshold})")
+                        help="graph size above which sparse similarity "
+                             f"applies (default {SketchPolicy.threshold})")
 
 
 def _sketch_policy_from_args(args):

@@ -37,7 +37,7 @@ class RunContext:
 
     ``numerics`` is the watchdog policy (``"sanitize"`` repairs and
     degrades, ``"strict"`` fails); ``sketch`` a
-    :class:`~repro.sketch.SketchPolicy` or ``None`` for exact kernels;
+    :class:`~repro.sketch.SketchPolicy` or ``None`` for dense similarity;
     ``trace`` records spans and counters into open trace collectors;
     ``cache`` routes per-graph intermediates through the innermost open
     artifact cache.

@@ -4,93 +4,70 @@ CONE-Align embeds each graph independently with a proximity-preserving
 method and then aligns the embedding spaces.  NetMF factorizes the
 (log-transformed, shifted-PMI) random-walk matrix
 
-    M = (vol(G) / (b * T)) * (sum_{r=1..T} P^r) D^{-1},    P = D^{-1} A,
+    M = log max(1, (vol(G) / (b * T)) * (sum_{r=1..T} P^r) D^{-1}),
+    P = D^{-1} A,
 
-truncated at window ``T``, via an SVD:  ``Y = U_d sqrt(S_d)``.
+truncated at window ``T``, and embeds with ``Y = U_d sqrt(S_d)``.
 
-This is the exact dense small-window variant, suitable for the benchmark's
-graph sizes.  Above an active sketch policy's threshold
-(:mod:`repro.sketch`) the same matrix is factorized *blockwise*: row
-blocks of the log-PMI matrix are streamed into a randomized SVD
-(:mod:`repro.spectral.sketch`) of rank ``d`` with the fixed
-:data:`~repro.sketch.OVERSAMPLING` and :data:`~repro.sketch.POWER_ITERS`,
-so peak memory stays ``O(block * n)`` instead of the dense ``O(n^2)`` —
-the entries of ``M`` are computed exactly either way; only the SVD is
-randomized.
+One exact path serves every graph size, with or without a sketch policy
+(which only sparsifies similarity stages, see :mod:`repro.sketch`):
+
+* ``M`` is built row block by row block into one preallocated ``n x n``
+  array.  Each block's walk rows are propagated by ``T - 1`` sparse
+  products with ``P``, so no dense power of ``P`` ever exists, and the
+  block's transient buffers stay within a fixed element budget.
+* ``M`` is symmetric (``P^r D^{-1} = D^{-1} A ... D^{-1}``), so its SVD
+  is its eigendecomposition up to sign: ``s_i = |λ_i|`` and
+  ``u_i = ±v_i``.  One LAPACK symmetric eigensolve factors it in place;
+  the ``d`` eigenpairs of largest ``|λ|`` give ``Y = V_d sqrt(|Λ_d|)``,
+  with the eigenvector signs fixed by :func:`repro.spectral.fix_signs`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh
 
 from repro.cache import cached_artifact
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import Graph
-from repro.observability import add_counter
-from repro.sketch import OVERSAMPLING, POWER_ITERS, sketch_policy_for
-from repro.spectral.sketch import randomized_svd, sketch_seed
+from repro.spectral import fix_signs
 
 __all__ = ["netmf_embeddings"]
 
-# Budget (in float64 elements) for one streamed row block of the log-PMI
-# matrix: 8M elements = 64 MB per block regardless of n.
-_BLOCK_ELEMENTS = 8_000_000
+# Budget (in float64 elements) for one row block's walk buffers: 1M
+# elements = 8 MB each, whatever n is.
+_BLOCK_ELEMENTS = 1_000_000
 
 
-def _sketched_netmf(graph: Graph, n: int, d: int, window: int,
+def _log_pmi_matrix(adj: sparse.csr_matrix, deg: np.ndarray, window: int,
                     negative: float) -> np.ndarray:
-    """Blockwise-streamed randomized factorization of the NetMF matrix.
-
-    ``M`` is symmetric (``A`` is), so the randomized SVD's adjoint pass
-    reuses the same block product.  Every pass recomputes the blocks —
-    memory is the scaling wall here, not FLOPs — so a factorization
-    costs ``2 + 2 * POWER_ITERS`` passes.
-    """
-    adj = sparse.csr_matrix(graph.adjacency())
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    vol = float(deg.sum())
-    if vol == 0:
-        return np.zeros((n, d))
+    """The NetMF matrix ``M``, in Fortran order so LAPACK can overwrite
+    it in place."""
+    n = adj.shape[0]
     inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     walk = sparse.csr_matrix(adj.multiply(inv_deg[:, np.newaxis]))  # P
     walk_t = walk.T.tocsr()
-    scale = vol / (negative * window)
-
-    def m_log_rows(lo: int, hi: int) -> np.ndarray:
-        current = walk[lo:hi].toarray()
-        acc = current.copy()
+    col_scale = (deg.sum() / (negative * window)) * inv_deg
+    m = np.empty((n, n), order="F")
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        # Rows lo:hi of M, transposed: a view with contiguous rows, which
+        # the (n, block) products below fill row for row.
+        rows = m[lo:hi].T
+        current = walk[lo:hi].T.toarray()  # (P[lo:hi])^T
+        rows[...] = current
         for _ in range(window - 1):
-            current = (walk_t @ current.T).T
-            acc += current
-        rows = scale * acc * inv_deg[np.newaxis, :]
-        np.maximum(rows, 1.0, out=rows)
+            current = walk_t @ current  # (P^r[lo:hi])^T
+            rows += current
+        np.multiply(rows, col_scale[:, np.newaxis], out=rows)
+        np.maximum(rows, 1.0, out=rows)  # shifted PMI, log-clipped at 0
         np.log(rows, out=rows)
-        return rows
-
-    block = max(1, _BLOCK_ELEMENTS // max(n, 1))
-
-    def matmat(x: np.ndarray) -> np.ndarray:
-        out = np.empty((n, x.shape[1]))
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            out[lo:hi] = m_log_rows(lo, hi) @ x
-        return out
-
-    rng = np.random.default_rng(sketch_seed(
-        graph.content_digest(), artifact="netmf_embeddings",
-        dim=d, window=int(window), negative=float(negative),
-        rank=d, oversampling=OVERSAMPLING, power_iters=POWER_ITERS,
-    ))
-    add_counter("sketched_kernels")
-    add_counter("sketch_rank", d)
-    u, s, _vt = randomized_svd(
-        matmat, (n, n), d,
-        oversampling=OVERSAMPLING,
-        power_iters=POWER_ITERS,
-        rng=rng, rmatmat=matmat,  # M is symmetric
-    )
-    return u[:, :d] * np.sqrt(s[:d])[np.newaxis, :]
+    return m
 
 
 def netmf_embeddings(
@@ -108,48 +85,36 @@ def netmf_embeddings(
         raise AlgorithmError("cannot embed an empty graph")
     if window < 1:
         raise AlgorithmError(f"window must be >= 1, got {window}")
+    if not (math.isfinite(negative) and negative > 0):
+        raise AlgorithmError(
+            f"negative must be finite and > 0, got {negative}")
     d = int(min(dim, max(n - 1, 1)))
 
-    # Above the sketch threshold the randomized blockwise factorization
-    # takes over; its parameters join the cache key so exact and sketched
-    # embeddings never collide (the exact key is unchanged).  "method"
-    # stays in the key so sketched entries keep their earlier keys.
-    params = {"dim": d, "window": int(window), "negative": float(negative)}
-    if sketch_policy_for(n) is not None:
-        params["sketch"] = {
-            "method": "rsvd",
-            "rank": d,
-            "oversampling": OVERSAMPLING,
-            "power_iters": POWER_ITERS,
-        }
-        return cached_artifact(
-            graph, "netmf_embeddings",
-            lambda: _sketched_netmf(graph, n, d, int(window),
-                                    float(negative)),
-            params=params,
-        )
-
     def produce() -> np.ndarray:
-        adj = graph.adjacency(dense=True)
-        deg = adj.sum(axis=1)
-        vol = deg.sum()
-        if vol == 0:
+        adj = sparse.csr_matrix(graph.adjacency())
+        deg = np.asarray(adj.sum(axis=1), dtype=np.float64).ravel()
+        if deg.sum() == 0:
             return np.zeros((n, d))
-        inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-
-        walk = inv_deg[:, np.newaxis] * adj  # P = D^{-1} A
-        power = np.eye(n)
-        acc = np.zeros_like(adj)
-        for _ in range(window):
-            power = power @ walk
-            acc += power
-
-        m = (vol / (negative * window)) * acc * inv_deg[np.newaxis, :]
-        m = np.log(np.maximum(m, 1.0))  # shifted-PMI with log-clipping at 0
-
-        u, s, _vt = np.linalg.svd(m, full_matrices=False)
-        return u[:, :d] * np.sqrt(s[:d])[np.newaxis, :]
+        m = _log_pmi_matrix(adj, deg, int(window), float(negative))
+        # "evr" needs O(n) workspace; "evd" is faster but needs another
+        # n x n array.
+        vals, vecs = eigh(m, overwrite_a=True, check_finite=False,
+                          driver="evr")
+        # The d largest singular values are the d largest |λ|; a stable
+        # sort keeps eigh's ascending order among equal magnitudes.
+        top = np.argsort(-np.abs(vals), kind="stable")[:d]
+        emb = fix_signs(vecs[:, top]) * np.sqrt(np.abs(vals[top]))
+        # An isolated node's row and column of M are zero, but the
+        # eigensolver's round-off is not.
+        emb[deg == 0] = 0.0
+        return emb
 
     # The embedding is a pure function of (graph, d, window, negative):
-    # the SVD has no random initialization, so it is safe to share.
-    return cached_artifact(graph, "netmf_embeddings", produce, params=params)
+    # the eigensolve has no random start, so it is safe to share.
+    # Entries written by the earlier SVD and randomized-SVD paths lack
+    # "solver", so a warm disk cache recomputes them instead.
+    return cached_artifact(
+        graph, "netmf_embeddings", produce,
+        params={"dim": d, "window": int(window),
+                "negative": float(negative), "solver": "eigh"},
+    )

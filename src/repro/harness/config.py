@@ -113,16 +113,16 @@ class ExperimentConfig:
     cell outcomes (a sanitized-and-degraded cell becomes a failed one), so
     it participates in the fingerprint when enabled.
 
-    ``sketch`` and ``sketch_threshold`` opt cells into the randomized
-    kernel path (:mod:`repro.sketch`): below ``sketch_threshold`` nothing
+    ``sketch`` and ``sketch_threshold`` opt cells into sparse
+    similarity (:mod:`repro.sketch`): below ``sketch_threshold`` nothing
     changes (runs are bit-identical with the knob on or off), above it
-    sketched bases and sparse top-k similarity replace computations that
-    would not fit in memory anyway.  Like the execution knobs they stay
-    out of the journal fingerprint — see DESIGN.md for why that boundary
-    is drawn at the threshold — while per-cell provenance is carried by
-    trace counters
-    (``sketched_kernels``, ``sketch_rank``, ``similarity_topk``,
-    ``dense_bypass``) and diagnostics instead.
+    sparse top-k similarity replaces dense ``n x n`` similarities that
+    would not fit in memory anyway; eigenpairs and embeddings stay exact.
+    Like the execution knobs they stay out of the journal fingerprint —
+    see DESIGN.md for why that boundary is drawn at the threshold — while
+    per-cell provenance is carried by trace counters
+    (``similarity_topk``, ``dense_bypass``, ``assignment_densified``)
+    and diagnostics instead.
     """
 
     name: str
@@ -149,7 +149,7 @@ class ExperimentConfig:
     # journal fingerprint; the stats journal side-car carries its own.
     stats: bool = False
     stats_resamples: int = 2000
-    # Sketched-kernel opt-in (repro.sketch).
+    # Sparse-similarity opt-in (repro.sketch).
     sketch: bool = False
     sketch_threshold: int = SketchPolicy.threshold
 

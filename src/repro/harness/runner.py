@@ -139,9 +139,9 @@ def run_cell(
     * ``numerics="strict"`` switches the numerical watchdog from
       sanitize-and-warn to fail-fast.
     * ``sketch`` (a :class:`~repro.sketch.SketchPolicy`) switches the
-      spectral and embedding substrates to randomized kernels and sparse
-      top-k similarity above the policy threshold; below it the cell is
-      bit-identical to an exact run.
+      similarity stage to sparse top-k similarity above the policy
+      threshold (eigenpairs and embeddings stay exact); below it the
+      cell is bit-identical to an exact run.
     * ``trace`` records the cell's stage trace into the record —
       partially even on failure: a capture scope around the whole cell
       keeps every span that closed before the crash (a span the

@@ -54,9 +54,6 @@ KNOWN_COUNTERS = {
         "sign-flip assignments evaluated by paired permutation tests",
     "bootstrap_resamples":
         "bootstrap resamples drawn for confidence intervals",
-    "sketched_kernels":
-        "embedding bases computed via randomized sketches",
-    "sketch_rank": "total rank of the sketched bases computed",
     "similarity_topk": "per-row candidate budget of sparse top-k similarity",
     "assignment_densified":
         "sparse similarity matrices densified by an assignment back-end",

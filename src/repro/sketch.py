@@ -1,19 +1,17 @@
-"""Sketching policy: when to trade exact kernels for randomized ones.
+"""Sketching policy: when to trade dense similarities for sparse ones.
 
 The dense ``n x n`` similarity matrix is the scaling wall the paper's §7
 time/memory sweeps expose.  Above a size threshold this module's policy
-switches the embedding substrate to *sketched* kernels (the randomized
-SVD behind NetMF, :mod:`repro.spectral.sketch`) and the similarity stage
-to a *sparse* top-k representation (:mod:`repro.embedding.topk`), which
-together keep peak memory linear in the graph size.  The Laplacian
-eigenpairs stay exact under a policy: a deflated Lanczos solve is both
-exact and cheaper than any sketch of them.
+switches the similarity stage of GRASP, REGAL and CONE's final
+extraction to a *sparse* top-k representation
+(:mod:`repro.embedding.topk`), which keeps their similarity memory
+linear in the graph size.  A policy changes nothing else that is
+computed: the Laplacian eigenpairs (a deflated Lanczos solve) and the
+NetMF embeddings (one exact symmetric eigensolve) are the same arrays
+with or without one.
 
-The policy is one number, its threshold.  Everything else a sketch needs
-is fixed: NetMF sketches at its natural rank (its ``dim`` embedding
-columns) with :data:`OVERSAMPLING` extra probe columns and
-:data:`POWER_ITERS` subspace iterations, and the sparse similarity stage
-keeps :data:`SIMILARITY_TOPK` candidates per source row.
+The policy is one number, its threshold.  The sparse similarity stage
+keeps the fixed :data:`SIMILARITY_TOPK` candidates per source row.
 
 The policy is the ``sketch`` field of the current
 :class:`~repro.context.RunContext`: the harness runs each cell under the
@@ -40,22 +38,12 @@ __all__ = [
     "SketchPolicy",
     "sketching",
     "sketch_policy_for",
-    "OVERSAMPLING",
-    "POWER_ITERS",
     "SIMILARITY_TOPK",
 ]
 
-# Default size threshold: below this the exact dense/Lanczos path is both
-# fast and memory-safe, so sketching would only add approximation error.
+# Default size threshold: below this a dense similarity is memory-safe,
+# so sparsifying it would only drop candidates.
 DEFAULT_THRESHOLD = 4096
-
-# Extra random probe columns beyond the rank (Halko et al. recommend
-# 5-10; they cost almost nothing and buy accuracy).
-OVERSAMPLING = 8
-
-# Subspace/power iterations sharpening the range estimate; each costs
-# two extra operator passes.
-POWER_ITERS = 2
 
 # Candidates kept per source row by the sparse similarity stage.
 SIMILARITY_TOPK = 10
@@ -84,7 +72,7 @@ class SketchPolicy:
 
 
 def sketching(policy: Optional[SketchPolicy]) -> ContextManager[RunContext]:
-    """Scope under which sketched kernels are active.
+    """Scope under which sparse similarity is active.
 
     ``None`` is accepted and means "explicitly exact" — it shadows any
     outer scope, which is how a sub-computation can opt back out.

@@ -13,6 +13,7 @@ there is fixed too.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -26,9 +27,9 @@ from repro.exceptions import AlgorithmError
 from repro.observability import add_counter
 from repro.graphs.graph import Graph
 from repro.graphs.matrices import normalized_laplacian
-from repro.spectral.sketch import sketch_seed
 
-__all__ = ["laplacian_eigenpairs", "fix_signs", "heat_kernel_diagonals"]
+__all__ = ["laplacian_eigenpairs", "fix_signs", "heat_kernel_diagonals",
+           "sketch_seed"]
 
 # Below this size a dense solve is faster and more robust than Lanczos.
 _DENSE_CUTOFF = 600
@@ -36,6 +37,21 @@ _DENSE_CUTOFF = 600
 # Entries within this relative distance of a column's peak magnitude are
 # treated as tied when fixing signs (see fix_signs).
 _TIE_RTOL = 1e-12
+
+
+def sketch_seed(digest: bytes, **params) -> int:
+    """Deterministic 32-bit seed from a graph digest and solver params.
+
+    Producers behind :func:`repro.cache.cached_artifact` must be pure, so
+    a solver's random start cannot come from ambient state: two processes
+    solving the same graph with the same parameters must draw identical
+    start vectors.
+    """
+    payload = bytes(digest) + b"|" + "|".join(
+        f"{key}={params[key]!r}" for key in sorted(params)
+    ).encode("utf-8")
+    raw = hashlib.blake2b(payload, digest_size=4).digest()
+    return int.from_bytes(raw, "big")
 
 
 def fix_signs(eigenvectors: np.ndarray) -> np.ndarray:

@@ -301,6 +301,22 @@ class TestCone:
         with pytest.raises(AlgorithmError):
             Cone(init="random")
 
+    @pytest.mark.parametrize("params", [
+        {"window": 0},
+        # A non-positive scale clips every NetMF entry to log 1 = 0 (or
+        # divides by zero): an all-zero embedding, accuracy 0.
+        {"negative": -1.0}, {"negative": 0.0}, {"negative": float("inf")},
+        {"negative": float("nan")},
+        # A negative count would slice the epsilon schedule from its end.
+        {"iterations": -1},
+        # Zero Sinkhorn sweeps leave every plan at its kernel.
+        {"sinkhorn_iter": 0}, {"sinkhorn_iter": -3},
+        {"init_iterations": -1},
+    ], ids=lambda params: "-".join(f"{k}={v}" for k, v in params.items()))
+    def test_out_of_range_parameters_rejected(self, params):
+        with pytest.raises(AlgorithmError):
+            Cone(**params)
+
 
 class TestGrasp:
     def test_near_perfect_no_noise(self):

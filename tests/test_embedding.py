@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.embedding import netmf_embeddings, structural_features, xnetmf_embeddings
-from repro.embedding import xnetmf
+from repro.embedding import netmf, xnetmf
 from repro.exceptions import AlgorithmError
-from repro.graphs import Graph, path_graph, star_graph
+from repro.graphs import (
+    Graph,
+    erdos_renyi_graph,
+    path_graph,
+    powerlaw_cluster_graph,
+    star_graph,
+)
 from repro.graphs.operations import bfs_distances, permute_graph
 from repro.util import pairwise_sq_dists
 
@@ -32,6 +38,32 @@ def reference_structural_features(graph, max_hops=2, delta=0.1,
             hist = np.bincount(bucket[members], minlength=width)
             features[u] += (delta ** (k - 1)) * hist
     return features
+
+
+def reference_netmf(graph, dim=128, window=10, negative=1.0):
+    """``window`` dense walk products and a full SVD: the path the blocked
+    sparse products and the symmetric eigensolve replace."""
+    n = graph.num_nodes
+    d = int(min(dim, max(n - 1, 1)))
+    adj = graph.adjacency(dense=True)
+    deg = adj.sum(axis=1)
+    vol = deg.sum()
+    if vol == 0:
+        return np.zeros((n, d))
+    inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+
+    walk = inv_deg[:, np.newaxis] * adj  # P = D^{-1} A
+    power = np.eye(n)
+    acc = np.zeros_like(adj)
+    for _ in range(window):
+        power = power @ walk
+        acc += power
+
+    m = (vol / (negative * window)) * acc * inv_deg[np.newaxis, :]
+    m = np.log(np.maximum(m, 1.0))  # shifted-PMI with log-clipping at 0
+
+    u, s, _vt = np.linalg.svd(m, full_matrices=False)
+    return u[:, :d] * np.sqrt(s[:d])[np.newaxis, :]
 
 
 @st.composite
@@ -184,3 +216,109 @@ class TestNetmf:
     def test_invalid_window_rejected(self, pl_graph):
         with pytest.raises(AlgorithmError):
             netmf_embeddings(pl_graph, window=0)
+
+    @pytest.mark.parametrize("negative", [0.0, -1.0, float("inf"),
+                                          float("nan")])
+    def test_invalid_negative_rejected(self, pl_graph, negative):
+        """A scale that is not finite and positive would divide by zero,
+        or clip every entry of M to log 1 = 0 and embed nothing."""
+        with pytest.raises(AlgorithmError):
+            netmf_embeddings(pl_graph, negative=negative)
+
+    def test_row_blocks_do_not_change_the_result(self, pl_graph,
+                                                 monkeypatch):
+        whole = netmf_embeddings(pl_graph, dim=16)
+        monkeypatch.setattr(netmf, "_BLOCK_ELEMENTS", 7 * pl_graph.num_nodes)
+        assert np.array_equal(netmf_embeddings(pl_graph, dim=16), whole)
+
+    def test_peak_memory_is_a_few_n_squared(self):
+        """M, the eigenvectors and one row block's walk buffers: under
+        three n x n arrays of float64 at n=1500 (the dense products and
+        the SVD held seven)."""
+        graph = powerlaw_cluster_graph(1500, 5, 0.3, seed=5)
+        graph.adjacency()
+        tracemalloc.start()
+        try:
+            netmf_embeddings(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * graph.num_nodes ** 2
+
+
+def _pl(n):
+    return powerlaw_cluster_graph(n, 5, 0.3, seed=5)
+
+
+def _er(n):
+    return erdos_renyi_graph(n, 10 / (n - 1), seed=5)
+
+
+# NetMF oracle inputs, built on demand.  ER n=700 carries an isolated
+# node of its own.
+_NETMF_GRAPHS = {
+    "pl-60": lambda: _pl(60),
+    "pl-300": lambda: _pl(300),
+    "pl-700": lambda: _pl(700),
+    "er-60": lambda: _er(60),
+    "er-300": lambda: _er(300),
+    "er-700": lambda: _er(700),
+    "pl-60+isolated": lambda: Graph(61, _pl(60).edges()),
+}
+
+
+class TestNetmfOracle:
+    """The blocked sparse products and the symmetric eigensolve against
+    the dense products and the SVD.  M is symmetric, so its singular
+    values are the |λ| of its eigenvalues; singular vectors inside a
+    cluster of equal singular values are only defined up to rotation, so
+    each cluster is compared as a subspace (principal angles)."""
+
+    NORM_TOL = 1e-10
+    ANGLE_TOL = 1e-8
+    CLUSTER_TOL = 1e-8
+
+    @pytest.mark.parametrize("window", [1, 5, 10])
+    @pytest.mark.parametrize("name", sorted(_NETMF_GRAPHS))
+    def test_matches_dense_svd(self, name, window):
+        from scipy.linalg import subspace_angles
+        graph = _NETMF_GRAPHS[name]()
+        n = graph.num_nodes
+        full = reference_netmf(graph, dim=n, window=window)  # n - 1 columns
+        sigma = np.linalg.norm(full, axis=0) ** 2
+        top = np.sqrt(sigma[0])
+        for dim in (n // 3, n + 5):
+            emb = netmf_embeddings(graph, dim=dim, window=window)
+            d = min(dim, n - 1)
+            assert emb.shape == (n, d)
+            assert np.array_equal(
+                emb, netmf_embeddings(graph, dim=dim, window=window))
+            norms = np.linalg.norm(emb, axis=0)
+            assert np.abs(norms - np.sqrt(sigma[:d])).max() \
+                <= self.NORM_TOL * top
+            assert np.all(emb[graph.degrees == 0] == 0.0)
+            lo = 0
+            while lo < d:
+                hi = lo + 1
+                while (hi < n - 1
+                       and sigma[hi - 1] - sigma[hi]
+                       < self.CLUSTER_TOL * sigma[0]):
+                    hi += 1
+                # A cluster cut at d: the returned columns must lie
+                # inside the whole singular subspace.
+                angles = subspace_angles(emb[:, lo:min(hi, d)],
+                                         full[:, lo:hi])
+                assert angles.max() <= self.ANGLE_TOL, (dim, lo, hi)
+                lo = hi
+
+    def test_isolated_node_rows_are_zero(self):
+        graph = _NETMF_GRAPHS["pl-60+isolated"]()
+        assert graph.degrees[-1] == 0
+        emb = netmf_embeddings(graph, dim=80, window=5)
+        assert np.all(emb[-1] == 0.0)
+        assert np.abs(emb[:-1]).sum(axis=1).min() > 0
+
+    def test_edgeless_graph_matches(self):
+        graph = Graph(5)
+        assert np.array_equal(netmf_embeddings(graph, dim=3),
+                              reference_netmf(graph, dim=3))

@@ -1,15 +1,13 @@
-"""Sketched kernels and sparse-first similarity: the neutrality suite.
+"""Sketch policy and sparse-first similarity: the neutrality suite.
 
 Three contracts are pinned here:
 
-* the randomized SVD is *accurate* where low-rank structure exists
-  (machine precision on decaying spectra) and *deterministic* given the
-  same seed, and a sketch policy never changes the Laplacian eigenpairs
-  (they are exact with or without one);
+* a sketch policy never changes the Laplacian eigenpairs or the NetMF
+  embeddings: both are exact, the same arrays with or without one;
 * below the policy threshold, a sketch-enabled run is **bit-identical**
   to an exact one — serial or parallel, align() or run_experiment();
 * above the threshold, the embedding algorithms go sparse end to end,
-  with the provenance counters (``sketched_kernels``, ``sketch_rank``,
+  with the provenance counters (``eigensolver_calls``,
   ``similarity_topk``, ``dense_bypass``, ``assignment_densified``)
   proving which path ran.
 """
@@ -23,31 +21,12 @@ from repro.context import current_context
 from repro.exceptions import AlgorithmError, ExperimentError
 from repro.graphs import powerlaw_cluster_graph
 from repro.sketch import (
-    OVERSAMPLING,
-    POWER_ITERS,
     SIMILARITY_TOPK,
     SketchPolicy,
     sketch_policy_for,
     sketching,
 )
-from repro.spectral import (
-    laplacian_eigenpairs,
-    randomized_svd,
-    sketch_seed,
-)
-
-
-def _decaying_psd(n=300, ratio=0.6, seed=0):
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    vals = 2.0 * ratio ** np.arange(n)
-    return (q * vals) @ q.T, vals, q
-
-
-def _subspace_cosines(a, b):
-    qa, _ = np.linalg.qr(a)
-    qb, _ = np.linalg.qr(b)
-    return np.linalg.svd(qa.T @ qb, compute_uv=False)
+from repro.spectral import laplacian_eigenpairs, sketch_seed
 
 
 def _explicit_csr(dense):
@@ -92,8 +71,7 @@ def thin_square_patterns(draw):
 class TestSketchPolicy:
     def test_defaults_validate(self):
         assert SketchPolicy().threshold == 4096
-        # Sketched cache keys and probe seeds are derived from these.
-        assert (OVERSAMPLING, POWER_ITERS, SIMILARITY_TOPK) == (8, 2, 10)
+        assert SIMILARITY_TOPK == 10
 
     @pytest.mark.parametrize("kwargs", [
         {"threshold": 0},
@@ -137,35 +115,6 @@ class TestSketchSeed:
         base = sketch_seed(b"graph", k=4)
         assert sketch_seed(b"other", k=4) != base
         assert sketch_seed(b"graph", k=5) != base
-
-
-class TestRandomizedDecompositions:
-    def test_rsvd_exact_on_decaying_spectrum(self):
-        m, vals, _ = _decaying_psd()
-        u, s, vt = randomized_svd(m, m.shape, 8,
-                                  rng=np.random.default_rng(1))
-        assert np.allclose(s, vals[:8], atol=1e-10)
-        assert np.allclose(u @ np.diag(s) @ vt,
-                           (u * vals[:8]) @ vt, atol=1e-10)
-
-    def test_same_seed_same_result(self):
-        m, _, _ = _decaying_psd()
-        first = randomized_svd(m, m.shape, 6, rng=np.random.default_rng(3))
-        second = randomized_svd(m, m.shape, 6, rng=np.random.default_rng(3))
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
-
-    def test_callable_operator_requires_adjoint(self):
-        with pytest.raises(AlgorithmError):
-            randomized_svd(lambda x: x, (10, 10), 2)
-
-    def test_callable_with_adjoint_works(self):
-        m, vals, _ = _decaying_psd(n=100)
-        matmat = lambda x: m @ x  # noqa: E731 — symmetric, self-adjoint
-        _u, s, _vt = randomized_svd(matmat, m.shape, 5,
-                                    rng=np.random.default_rng(0),
-                                    rmatmat=matmat)
-        assert np.allclose(s, vals[:5], atol=1e-9)
 
 
 class TestSketchedEigenpairs:
@@ -229,42 +178,48 @@ class TestSketchedEigenpairs:
 
 
 class TestSketchedNetMF:
-    def test_singular_values_and_leading_subspace_agree(self):
-        from repro.embedding.netmf import netmf_embeddings
-        graph = powerlaw_cluster_graph(700, 4, 0.2, seed=2)
-        exact = netmf_embeddings(graph, dim=32, window=5)
-        with sketching(SketchPolicy(threshold=500)):
-            sketched = netmf_embeddings(graph, dim=32, window=5)
-        assert sketched.shape == exact.shape
-        norm_e = np.linalg.norm(exact, axis=0)
-        norm_s = np.linalg.norm(sketched, axis=0)
-        # Column norms are sqrt(singular values): within a few percent.
-        assert np.abs(norm_e - norm_s).max() < 0.1 * norm_e.max()
-        # Leading half of the spectrum spans the same subspace; the tail
-        # rotates freely inside near-degenerate trailing directions.
-        cos = _subspace_cosines(exact[:, :16], sketched[:, :16])
-        assert np.median(cos) > 0.95
+    """A sketch policy leaves the NetMF embedding exact: one symmetric
+    eigensolve serves every graph size, policy or not (its fidelity
+    oracle is ``TestNetmfOracle`` in test_embedding.py)."""
+
+    GRAPH = powerlaw_cluster_graph(150, 3, 0.2, seed=9)
 
     def test_cache_key_holds_the_fixed_parameters(self):
+        """The key names the solver and nothing of the policy, so entries
+        that earlier paths wrote (the dense SVD, or the randomized SVD
+        under a policy) are recomputed, never served."""
         from repro.cache import artifact_cache, caching, canonicalize_params
         from repro.embedding.netmf import netmf_embeddings
-        graph = powerlaw_cluster_graph(150, 3, 0.2, seed=9)
         with caching(True), artifact_cache() as cache, \
                 sketching(SketchPolicy(threshold=100)):
-            netmf_embeddings(graph, dim=16, window=4)
-        params = {"dim": 16, "window": 4, "negative": 1.0,
-                  "sketch": {"method": "rsvd", "rank": 16,
-                             "oversampling": 8, "power_iters": 2}}
-        assert (graph.content_digest(), "netmf_embeddings",
-                canonicalize_params(params)) in cache
+            netmf_embeddings(self.GRAPH, dim=16, window=4)
+        digest = self.GRAPH.content_digest()
+        fixed = {"dim": 16, "window": 4, "negative": 1.0}
+        assert (digest, "netmf_embeddings", canonicalize_params(
+            {**fixed, "solver": "eigh"})) in cache
+        for stale in (fixed, {**fixed, "sketch": {
+                "method": "rsvd", "rank": 16, "oversampling": 8,
+                "power_iters": 2}}):
+            assert (digest, "netmf_embeddings",
+                    canonicalize_params(stale)) not in cache
 
-    def test_below_threshold_bit_identical(self):
+    def test_policy_leaves_embeddings_bit_identical(self):
+        """A policy whose threshold lies above or below n: the arrays are
+        bit-identical to the arrays without one, and with the cache on
+        both calls address one entry: the second is a hit."""
+        from repro.cache import artifact_cache, caching
         from repro.embedding.netmf import netmf_embeddings
-        graph = powerlaw_cluster_graph(150, 3, 0.2, seed=9)
-        exact = netmf_embeddings(graph, dim=16, window=4)
-        with sketching(SketchPolicy(threshold=500)):
-            off = netmf_embeddings(graph, dim=16, window=4)
-        assert np.array_equal(exact, off)
+        exact = netmf_embeddings(self.GRAPH, dim=16, window=4)
+        for threshold in (500, 100):  # n = 150
+            with sketching(SketchPolicy(threshold=threshold)):
+                under_policy = netmf_embeddings(self.GRAPH, dim=16, window=4)
+            assert np.array_equal(exact, under_policy)
+        with caching(True), artifact_cache() as cache:
+            netmf_embeddings(self.GRAPH, dim=16, window=4)
+            with sketching(SketchPolicy(threshold=100)):
+                netmf_embeddings(self.GRAPH, dim=16, window=4)
+        assert cache.stats()["by_artifact"]["netmf_embeddings"] == \
+            {"hits": 1, "misses": 1}
 
 
 class TestTopkSimilarity:
@@ -439,7 +394,6 @@ class TestSparseFirstPipeline:
         totals = self._totals(result)
         # Both eigenbases come from the exact solver, never a sketch.
         assert totals.get("eigensolver_calls", 0) == 2
-        assert totals.get("sketched_kernels", 0) == 0
         assert totals.get("similarity_topk", 0) > 0
         assert totals.get("dense_bypass", 0) == 0
         assert totals.get("assignment_densified", 0) == 0
