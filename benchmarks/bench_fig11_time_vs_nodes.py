@@ -19,6 +19,7 @@ from benchmarks.helpers import (
     paper_note,
     run_matrix,
     stage_breakdown,
+    thread_settings,
 )
 from repro.graphs.generators import configuration_model_graph, normal_degree_sequence
 from repro.harness import ResultTable
@@ -45,6 +46,7 @@ def _run(profile):
 def test_fig11_time_vs_nodes(benchmark, profile, results_dir):
     table = benchmark.pedantic(_run, args=(profile,), rounds=1, iterations=1)
     emit(results_dir, "fig11_time_vs_nodes",
+         thread_settings(),
          "-- similarity-stage runtime [s] vs graph size (traced) --\n"
          + table.format_grid("algorithm", "dataset",
                              "trace:similarity:wall_time", fmt="{:.3f}"),

@@ -13,6 +13,7 @@ from benchmarks.helpers import (
     paper_note,
     run_matrix,
     stage_breakdown,
+    thread_settings,
 )
 from repro.graphs.generators import configuration_model_graph, normal_degree_sequence
 from repro.harness import ResultTable
@@ -39,6 +40,7 @@ def _run(profile):
 def test_fig12_time_vs_degree(benchmark, profile, results_dir):
     table = benchmark.pedantic(_run, args=(profile,), rounds=1, iterations=1)
     emit(results_dir, "fig12_time_vs_degree",
+         thread_settings(),
          "-- similarity-stage runtime [s] vs average degree (traced) --\n"
          + table.format_grid("algorithm", "dataset",
                              "trace:similarity:wall_time", fmt="{:.3f}"),

@@ -13,6 +13,7 @@ from benchmarks.helpers import (
     paper_note,
     run_matrix,
     stage_breakdown,
+    thread_settings,
 )
 from repro.graphs.generators import configuration_model_graph, normal_degree_sequence
 from repro.harness import ResultTable
@@ -43,6 +44,7 @@ def _mib(value: float) -> float:
 def test_fig13_memory_vs_nodes(benchmark, profile, results_dir):
     table = benchmark.pedantic(_run, args=(profile,), rounds=1, iterations=1)
     emit(results_dir, "fig13_memory_vs_nodes",
+         thread_settings(),
          "-- peak similarity-stage memory [bytes] vs graph size (traced) --\n"
          + table.format_grid("algorithm", "dataset",
                              "trace:similarity:peak_memory_bytes",

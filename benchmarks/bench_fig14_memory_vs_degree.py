@@ -13,6 +13,7 @@ from benchmarks.helpers import (
     paper_note,
     run_matrix,
     stage_breakdown,
+    thread_settings,
 )
 from repro.graphs.generators import configuration_model_graph, normal_degree_sequence
 from repro.harness import ResultTable
@@ -40,6 +41,7 @@ def _run(profile):
 def test_fig14_memory_vs_degree(benchmark, profile, results_dir):
     table = benchmark.pedantic(_run, args=(profile,), rounds=1, iterations=1)
     emit(results_dir, "fig14_memory_vs_degree",
+         thread_settings(),
          "-- peak similarity-stage memory [bytes] vs avg degree (traced) --\n"
          + table.format_grid("algorithm", "dataset",
                              "trace:similarity:peak_memory_bytes",

@@ -10,6 +10,7 @@ same "who gets to run" structure.
 
 from __future__ import annotations
 
+import os
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -155,6 +156,16 @@ def emit(results_dir, name: str, *sections: str) -> str:
     print(f"\n===== {name} =====\n{text}\n")
     (results_dir / f"{name}.txt").write_text(text + "\n")
     return text
+
+
+def thread_settings() -> str:
+    """A timing table's header line: the BLAS/OpenMP thread variables in
+    force (``benchmarks/conftest.py`` defaults each to 1)."""
+    from perfbench.run import THREAD_VARS
+
+    values = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
+                       for name in THREAD_VARS)
+    return f"-- threads: {values} --"
 
 
 def paper_note(claim: str) -> str:

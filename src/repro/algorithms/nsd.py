@@ -9,7 +9,9 @@ decomposes into outer products of the per-graph sequences
 ``w^(k) = (D_B^{-1} B)^k w`` and ``z^(k) = (D_A^{-1} A)^k z`` (Eq. 4), so no
 ``n^2 x n^2`` matrix is ever formed.  A rank-``s`` prior (from the SVD of
 the degree-prior matrix, standing in for Blast scores) sums ``s``
-independent decompositions (Eq. 5).
+independent decompositions (Eq. 5).  All ``(n+1)·s`` outer products are
+summed by one matrix product of the stacked, coefficient-weighted
+``w^(k)`` columns with the stacked ``z^(k)`` columns.
 """
 
 from __future__ import annotations
@@ -69,18 +71,18 @@ class NSD(AlignmentAlgorithm):
         self.components = int(components)
 
     def _prior_factors(self, source: Graph, target: Graph):
-        """Rank-s factors (w_i on the source side, z_i on the target side)."""
+        """Rank-s factors: the columns w_i (source side, n_a x s) and z_i
+        (target side, n_b x s)."""
         n_a, n_b = source.num_nodes, target.num_nodes
         if self.prior == "uniform":
-            return [np.full(n_a, 1.0 / n_a)], [np.full(n_b, 1.0 / n_b)]
+            return np.full((n_a, 1), 1.0 / n_a), np.full((n_b, 1), 1.0 / n_b)
         prior = degree_prior_pair(source, target)
         # Out-of-place: the prior may be a cache-shared read-only array.
         prior = prior / prior.sum()
         u, s, vt = np.linalg.svd(prior, full_matrices=False)
         rank = int(min(self.components, s.size))
-        ws = [u[:, i] * np.sqrt(s[i]) for i in range(rank)]
-        zs = [vt[i] * np.sqrt(s[i]) for i in range(rank)]
-        return ws, zs
+        root = np.sqrt(s[:rank])
+        return u[:, :rank] * root, vt[:rank].T * root
 
     def _similarity(self, source: Graph, target: Graph,
                     rng: np.random.Generator) -> np.ndarray:
@@ -88,16 +90,21 @@ class NSD(AlignmentAlgorithm):
         # unrolled iteration matches the recursion it approximates.
         op_a = column_stochastic(source)
         op_b = column_stochastic(target)
-        ws, zs = self._prior_factors(source, target)
+        w, z = self._prior_factors(source, target)
+        rank = w.shape[1]
 
-        sim = np.zeros((source.num_nodes, target.num_nodes))
-        for w0, z0 in zip(ws, zs):
-            w, z = w0.copy(), z0.copy()
-            coeff_rest = 1.0 - self.alpha
-            for k in range(self.iterations):
-                sim += coeff_rest * (self.alpha ** k) * np.outer(w, z)
+        # X = sum_k c_k W_k Z_k^T with c_k = (1-alpha) alpha^k for k < n
+        # and c_n = alpha^n: one GEMM over the weighted, stacked columns.
+        steps = self.iterations + 1
+        left = np.empty((source.num_nodes, steps * rank))
+        right = np.empty((target.num_nodes, steps * rank))
+        for k in range(steps):
+            if k:
                 w = op_a @ w
                 z = op_b @ z
-            sim += (self.alpha ** self.iterations) * np.outer(w, z)
-        add_counter("power_iterations", self.iterations * len(ws))
-        return sim
+            coeff = (self.alpha ** k if k == self.iterations
+                     else (1.0 - self.alpha) * (self.alpha ** k))
+            np.multiply(w, coeff, out=left[:, k * rank:(k + 1) * rank])
+            right[:, k * rank:(k + 1) * rank] = z
+        add_counter("power_iterations", self.iterations * rank)
+        return left @ right.T

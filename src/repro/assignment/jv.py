@@ -33,6 +33,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.exceptions import AssignmentError
+from repro.numerics import flushed_exp
 from repro.observability import add_counter
 
 __all__ = ["solve_lap", "jonker_volgenant"]
@@ -125,7 +126,12 @@ def _dual_reduced(cost: np.ndarray) -> Optional[np.ndarray]:
     kernel ``exp((u ⊕ g - C) / ε)``, with ``u`` the row minima of
     ``C - 1 gᵀ`` so every row holds a 1, runs ``_SWEEPS_PER_EPS``
     scaling sweeps at uniform marginals and folds the column scaling
-    into ``g``.  One n x n buffer holds each kernel and then the
+    into ``g``.  Kernel entries below 1e-307 are flushed to 0
+    (:func:`~repro.numerics.flushed_exp`), so the last ε steps do not
+    pay for numpy's underflow path and subnormal products; a flushed
+    entry sits some 290 orders of magnitude below the 1 in its row, and
+    the reduced cost is bit-identical to the unflushed one on every
+    tested input.  One n x n buffer holds each kernel and then the
     returned ``C - u 1ᵀ - 1 gᵀ``, which is non-negative with a zero in
     every row.  Non-finite potentials or reduced entries (a spread so
     small that ``1/ε`` overflows) return ``None``.
@@ -147,7 +153,7 @@ def _dual_reduced(cost: np.ndarray) -> Optional[np.ndarray]:
             np.subtract(cost, g, out=buf)
             buf -= buf.min(axis=1)[:, np.newaxis]
             buf *= -1.0 / eps
-            np.exp(buf, out=buf)
+            flushed_exp(buf, out=buf)
             col_scale = np.ones(m)
             for _ in range(_SWEEPS_PER_EPS):
                 row_scale = 1.0 / (buf @ col_scale)

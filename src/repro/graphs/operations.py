@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
@@ -29,23 +30,13 @@ __all__ = [
 
 
 def connected_components(graph: Graph) -> np.ndarray:
-    """Component label per node, labels contiguous from 0 in discovery order."""
-    n = graph.num_nodes
-    labels = np.full(n, -1, dtype=np.int64)
-    current = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        stack = [start]
-        labels[start] = current
-        while stack:
-            node = stack.pop()
-            for nb in graph.neighbors(node):
-                if labels[nb] == -1:
-                    labels[nb] = current
-                    stack.append(int(nb))
-        current += 1
-    return labels
+    """Component label per node, labels contiguous from 0 in the order of
+    each component's smallest node (so node 0's component is 0)."""
+    if graph.num_nodes == 0:
+        return np.empty(0, dtype=np.int64)
+    _count, labels = csgraph.connected_components(graph.adjacency(),
+                                                  directed=False)
+    return labels.astype(np.int64)
 
 
 def number_of_components(graph: Graph) -> int:

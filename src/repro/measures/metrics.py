@@ -68,86 +68,118 @@ def accuracy(mapping: Sequence[int], ground_truth: Sequence[int]) -> float:
     return float(correct.sum() / matchable.sum())
 
 
-def _aligned_edge_count(source: Graph, target: Graph, mapping: np.ndarray) -> int:
-    """``|f(E_A)|``: source edges whose images are target edges.
+def _is_target_edge(target: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each ``{a[k], b[k]}`` is an edge of ``target`` (``a`` and
+    ``b`` hold valid target ids; ``a == b`` is never an edge).
 
-    Runs five times per sweep cell (EC, ICS and S³ each need it), so it
-    is fully vectorized: target edges are encoded as sorted ``u * n + v``
-    codes once, and all mapped source edges are membership-tested with a
-    single ``searchsorted`` instead of one ``has_edge`` probe per edge.
+    Target edges are encoded once as sorted ``u * n + v`` codes and every
+    query is membership-tested with one ``searchsorted``.
     """
+    if a.size == 0 or target.num_edges == 0:
+        return np.zeros(a.size, dtype=bool)
+    n = np.int64(target.num_nodes)
+    # target.edges() has u < v and is lexsorted, so its codes are sorted.
+    target_edges = target.edges()
+    codes = target_edges[:, 0] * n + target_edges[:, 1]
+    queries = np.minimum(a, b) * n + np.maximum(a, b)
+    pos = np.minimum(np.searchsorted(codes, queries), codes.size - 1)
+    return codes[pos] == queries
+
+
+def _aligned_edge_count(source: Graph, target: Graph, mapping: np.ndarray) -> int:
+    """``|f(E_A)|``: source edges whose images are target edges."""
     edges = source.edges()
-    if edges.size == 0 or target.num_edges == 0:
-        return 0
     fu = mapping[edges[:, 0]]
     fv = mapping[edges[:, 1]]
-    valid = (fu >= 0) & (fv >= 0) & (fu != fv)
-    if not valid.any():
-        return 0
-    lo = np.minimum(fu[valid], fv[valid])
-    hi = np.maximum(fu[valid], fv[valid])
-    n = np.int64(target.num_nodes)
-    # target.edges() already has u < v, matching the lo/hi encoding.
-    target_edges = target.edges()
-    codes = target_edges[:, 0] * n + target_edges[:, 1]  # sorted: lexsorted edges
-    queries = lo * n + hi
-    pos = np.searchsorted(codes, queries)
-    pos = np.minimum(pos, codes.size - 1)
-    return int(np.count_nonzero(codes[pos] == queries))
-
-
-def _aligned_edge_count_reference(source: Graph, target: Graph,
-                                  mapping: np.ndarray) -> int:
-    """Straight-line per-edge ``has_edge`` loop; the definitional oracle
-    the vectorized implementation is property-tested against."""
-    edges = source.edges()
-    count = 0
-    for u, v in edges:
-        a, b = int(mapping[u]), int(mapping[v])
-        if a >= 0 and b >= 0 and a != b and target.has_edge(a, b):
-            count += 1
-    return count
+    valid = (fu >= 0) & (fv >= 0)
+    return int(np.count_nonzero(_is_target_edge(target, fu[valid], fv[valid])))
 
 
 def _induced_target_edges(target: Graph, mapping: np.ndarray) -> int:
     """``|E(G_B[f(V_A)])|``: target edges inside the image of the mapping."""
-    image = np.unique(mapping[mapping >= 0])
     member = np.zeros(target.num_nodes, dtype=bool)
-    member[image] = True
+    member[mapping[mapping >= 0]] = True
     edges = target.edges()
     if edges.size == 0:
         return 0
     return int(np.sum(member[edges[:, 0]] & member[edges[:, 1]]))
 
 
+def _edge_correctness(source: Graph, aligned: int) -> float:
+    if source.num_edges == 0:
+        return 0.0
+    return aligned / source.num_edges
+
+
+def _ics(aligned: int, induced: int) -> float:
+    if induced == 0:
+        return 0.0
+    return aligned / induced
+
+
+def _s3(source: Graph, aligned: int, induced: int) -> float:
+    denom = source.num_edges + induced - aligned
+    if denom == 0:
+        return 0.0
+    return aligned / denom
+
+
 def edge_correctness(source: Graph, target: Graph, mapping: Sequence[int]) -> float:
     """EC: fraction of source edges preserved by the alignment."""
     arr = _as_mapping(mapping, source.num_nodes, target.num_nodes)
-    if source.num_edges == 0:
-        return 0.0
-    return _aligned_edge_count(source, target, arr) / source.num_edges
+    return _edge_correctness(source, _aligned_edge_count(source, target, arr))
 
 
 def induced_conserved_structure(source: Graph, target: Graph,
                                 mapping: Sequence[int]) -> float:
     """ICS: aligned edges over edges of the target subgraph induced by the image."""
     arr = _as_mapping(mapping, source.num_nodes, target.num_nodes)
-    induced = _induced_target_edges(target, arr)
-    if induced == 0:
-        return 0.0
-    return _aligned_edge_count(source, target, arr) / induced
+    return _ics(_aligned_edge_count(source, target, arr),
+                _induced_target_edges(target, arr))
 
 
 def symmetric_substructure_score(source: Graph, target: Graph,
                                  mapping: Sequence[int]) -> float:
     """S³ (Eq. 16): aligned edges over the union of source and induced edges."""
     arr = _as_mapping(mapping, source.num_nodes, target.num_nodes)
-    aligned = _aligned_edge_count(source, target, arr)
-    induced = _induced_target_edges(target, arr)
-    denom = source.num_edges + induced - aligned
-    if denom == 0:
+    return _s3(source, _aligned_edge_count(source, target, arr),
+               _induced_target_edges(target, arr))
+
+
+def _mnc(source: Graph, target: Graph, mapping: np.ndarray) -> float:
+    """MNC of a validated mapping, from edge arrays.
+
+    Each directed source edge ``(i, v)`` with both ends matched puts
+    ``f(v)`` in ``i``'s mapped neighborhood; the deduplicated ``(i, f(v))``
+    pairs give each neighborhood's size (``bincount``), and those whose
+    ``{f(i), f(v)}`` is a target edge give its intersection with
+    ``N_B(f(i))``, whose size is ``f(i)``'s degree.
+    """
+    n = source.num_nodes
+    if n == 0:
         return 0.0
-    return aligned / denom
+    matched = mapping >= 0
+    edges = source.edges()
+    tails = np.concatenate([edges[:, 0], edges[:, 1]])
+    heads = np.concatenate([edges[:, 1], edges[:, 0]])
+    both = matched[tails] & matched[heads]
+    width = np.int64(max(target.num_nodes, 1))
+    pairs = np.sort(tails[both] * width + mapping[heads[both]])
+    first = np.ones(pairs.size, dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    owner, image = np.divmod(pairs[first], width)
+    mapped = np.bincount(owner, minlength=n)
+    shared = np.bincount(
+        owner[_is_target_edge(target, mapping[owner], image)], minlength=n)
+    union = mapped - shared
+    union[matched] += target.degrees[mapping[matched]]
+    scores = np.zeros(n)
+    # An empty union scores 1 (a trivially consistent isolate); an
+    # unmatched node scores 0.
+    scores[matched] = 1.0
+    hit = matched & (union > 0)
+    scores[hit] = shared[hit] / union[hit]
+    return float(scores.mean())
 
 
 def matched_neighborhood_consistency(source: Graph, target: Graph,
@@ -160,32 +192,24 @@ def matched_neighborhood_consistency(source: Graph, target: Graph,
     score 0.
     """
     arr = _as_mapping(mapping, source.num_nodes, target.num_nodes)
-    if source.num_nodes == 0:
-        return 0.0
-    scores = np.zeros(source.num_nodes)
-    for i in range(source.num_nodes):
-        j = arr[i]
-        if j < 0:
-            continue
-        mapped = arr[source.neighbors(i)]
-        mapped = set(int(x) for x in mapped[mapped >= 0])
-        actual = set(int(x) for x in target.neighbors(int(j)))
-        union = mapped | actual
-        if not union:
-            scores[i] = 1.0
-        else:
-            scores[i] = len(mapped & actual) / len(union)
-    return float(scores.mean())
+    return _mnc(source, target, arr)
 
 
 def evaluate_all(source: Graph, target: Graph, mapping: Sequence[int],
                  ground_truth: Sequence[int] | None = None) -> Dict[str, float]:
-    """All five measures as a dict; accuracy requires ``ground_truth``."""
+    """All five measures as a dict; accuracy requires ``ground_truth``.
+
+    The aligned and induced edge counts are computed once and shared by
+    EC, ICS and S³.
+    """
+    arr = _as_mapping(mapping, source.num_nodes, target.num_nodes)
+    aligned = _aligned_edge_count(source, target, arr)
+    induced = _induced_target_edges(target, arr)
     results = {
-        "mnc": matched_neighborhood_consistency(source, target, mapping),
-        "ec": edge_correctness(source, target, mapping),
-        "ics": induced_conserved_structure(source, target, mapping),
-        "s3": symmetric_substructure_score(source, target, mapping),
+        "mnc": _mnc(source, target, arr),
+        "ec": _edge_correctness(source, aligned),
+        "ics": _ics(aligned, induced),
+        "s3": _s3(source, aligned, induced),
     }
     if ground_truth is not None:
         results["accuracy"] = accuracy(mapping, ground_truth)

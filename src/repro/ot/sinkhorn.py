@@ -15,8 +15,14 @@ half-step whose scaling or denominator (``K v``, ``K^T u``) leaves
 ``[1e-100, 1e100]`` or is not finite is redone in the log domain: that
 catches kernel rows and columns that underflowed, where subnormal entries
 would cost precision, and zero-mass marginal entries (clamped to 1e-300),
-which always take this path.  The returned plan is built from the
-potentials in one exponent.
+which always take this path.  Kernels and log-sum-exp terms below
+1e-307 are flushed to 0 (:func:`~repro.numerics.flushed_exp`): a
+flushed term is under 1e-307 · 1e50 while the guard keeps every sum on
+the scaling path at or above 1e-100, so no sum changes.  With every
+marginal entry at least 1e-49, a scaling inside ``[1e-50, 1e50]`` bounds
+its denominator (``mu / u``) inside ``[1e-99, 1e50]``, so a common
+half-step is decided by one min and one max of its scaling.  The
+returned plan is built from the potentials in one exact exponent.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 
 from repro.diagnostics import record_diagnostic
 from repro.exceptions import AlgorithmError, ConvergenceError
+from repro.numerics import flushed_exp
 from repro.observability import add_counter
 
 __all__ = ["sinkhorn"]
@@ -37,6 +44,10 @@ __all__ = ["sinkhorn"]
 # half-step is redone in the log domain.
 _ABSORB = 1e50
 _GUARD = 1e100
+# A marginal whose every entry is at least _MASS_FLOOR keeps the
+# denominator of a scaling inside [1/_ABSORB, _ABSORB] inside
+# [1/_GUARD, _GUARD] (ten times _ABSORB / _GUARD, for rounding).
+_MASS_FLOOR = 1e-49
 
 
 def _check_marginal(weights: Optional[np.ndarray], size: int) -> np.ndarray:
@@ -55,12 +66,31 @@ def _check_marginal(weights: Optional[np.ndarray], size: int) -> np.ndarray:
 def _logsumexp(mat: np.ndarray, axis: int) -> np.ndarray:
     peak = mat.max(axis=axis, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)
-    return (peak + np.log(np.exp(mat - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
+    # Every sum holds exp(0) = 1, so flushed terms cannot change it.
+    terms = mat - peak
+    flushed_exp(terms, out=terms)
+    return (peak + np.log(terms.sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def _outside(scaling: np.ndarray, bound: float) -> bool:
     # Written so that a NaN scaling fails both comparisons.
     return not (scaling.min() >= 1.0 / bound and scaling.max() <= bound)
+
+
+def _half_step(scaling: np.ndarray, denominator: np.ndarray,
+               floored: bool) -> Optional[str]:
+    """``"redo"`` (log domain), ``"absorb"`` or ``None`` (keep) for a
+    half-step's new scaling; ``floored`` says every marginal entry is at
+    least ``_MASS_FLOOR``, which makes a scaling inside the absorption
+    bounds imply a trusted denominator."""
+    lo, hi = scaling.min(), scaling.max()
+    # Written so that a NaN scaling fails every comparison.
+    absorb = not (lo >= 1.0 / _ABSORB and hi <= _ABSORB)
+    if absorb or not floored:
+        if not (lo >= 1.0 / _GUARD and hi <= _GUARD) \
+                or _outside(denominator, _GUARD):
+            return "redo"
+    return "absorb" if absorb else None
 
 
 def sinkhorn(
@@ -111,14 +141,19 @@ def sinkhorn(
     # b + log v.
     a = -scaled.max(axis=1)
     b = np.zeros(m)
-    kernel = np.exp(scaled + a[:, np.newaxis])
     f = np.zeros(n)
     g = np.zeros(m)
     ones_n, ones_m = np.ones(n), np.ones(m)
     v = ones_m
+    mu_floored = mass_mu.min() >= _MASS_FLOOR
+    nu_floored = mass_nu.min() >= _MASS_FLOOR
 
     def absorbed_kernel() -> np.ndarray:
-        return np.exp(scaled + a[:, np.newaxis] + b[np.newaxis, :])
+        exponent = scaled + a[:, np.newaxis]
+        exponent += b[np.newaxis, :]
+        return flushed_exp(exponent, out=exponent)
+
+    kernel = absorbed_kernel()
 
     converged = False
     shift = np.inf
@@ -128,23 +163,25 @@ def sinkhorn(
         for _ in range(max_iter):
             kv = kernel @ v
             u = mass_mu / kv
-            if _outside(u, _GUARD) or _outside(kv, _GUARD):
+            step = _half_step(u, kv, mu_floored)
+            if step == "redo":
                 b = b + np.log(v)
                 a = log_mu - _logsumexp(scaled + b[np.newaxis, :], axis=1)
                 u, v = ones_n, ones_m
                 kernel = absorbed_kernel()
-            elif _outside(u, _ABSORB):
+            elif step == "absorb":
                 a, b = a + np.log(u), b + np.log(v)
                 u, v = ones_n, ones_m
                 kernel = absorbed_kernel()
             ku = kernel.T @ u
             v = mass_nu / ku
-            if _outside(v, _GUARD) or _outside(ku, _GUARD):
+            step = _half_step(v, ku, nu_floored)
+            if step == "redo":
                 a = a + np.log(u)
                 b = log_nu - _logsumexp(scaled + a[:, np.newaxis], axis=0)
                 u, v = ones_n, ones_m
                 kernel = absorbed_kernel()
-            elif _outside(v, _ABSORB):
+            elif step == "absorb":
                 a, b = a + np.log(u), b + np.log(v)
                 u, v = ones_n, ones_m
                 kernel = absorbed_kernel()

@@ -29,7 +29,7 @@ from repro.graphs.operations import induced_subgraph
 from repro.measures import accuracy
 from repro.noise import make_pair
 from repro.observability import capture_trace, tracing
-from repro.util import degree_prior
+from repro.util import degree_prior, degree_prior_pair
 
 PL = powerlaw_cluster_graph(80, 3, 0.3, seed=21)
 PL_PAIR = make_pair(PL, "one-way", 0.02, seed=22)
@@ -158,7 +158,49 @@ class TestIsoRankOracle:
                                                 PL_PAIR.target))
 
 
+def nsd_outer_product_reference(nsd, source, target):
+    """NSD's similarity (Eq. 4-5) as one ``np.outer`` pass per term:
+    ``(1-alpha) alpha^k w^(k) z^(k)T`` for k < n, then ``alpha^n w^(n) z^(n)T``,
+    for each of the prior's rank-one components."""
+    op_a, op_b = column_stochastic(source), column_stochastic(target)
+    n_a, n_b = source.num_nodes, target.num_nodes
+    if nsd.prior == "uniform":
+        ws, zs = [np.full(n_a, 1.0 / n_a)], [np.full(n_b, 1.0 / n_b)]
+    else:
+        prior = degree_prior_pair(source, target)
+        prior = prior / prior.sum()
+        u, s, vt = np.linalg.svd(prior, full_matrices=False)
+        rank = int(min(nsd.components, s.size))
+        ws = [u[:, i] * np.sqrt(s[i]) for i in range(rank)]
+        zs = [vt[i] * np.sqrt(s[i]) for i in range(rank)]
+    sim = np.zeros((n_a, n_b))
+    for w0, z0 in zip(ws, zs):
+        w, z = w0.copy(), z0.copy()
+        for k in range(nsd.iterations):
+            sim += (1.0 - nsd.alpha) * (nsd.alpha ** k) * np.outer(w, z)
+            w = op_a @ w
+            z = op_b @ z
+        sim += (nsd.alpha ** nsd.iterations) * np.outer(w, z)
+    return sim
+
+
 class TestNSD:
+    @pytest.mark.parametrize("prior", ["uniform", "degree"])
+    @pytest.mark.parametrize("alpha, iterations",
+                             [(0.8, 20), (0.0, 1), (1.0, 3), (0.5, 7)])
+    def test_one_gemm_matches_outer_product_loop(self, prior, alpha,
+                                                 iterations):
+        nsd = NSD(alpha=alpha, iterations=iterations, prior=prior)
+        # An isolated node in each graph gives zero columns in A D^-1.
+        for source, target in ((PL_PAIR.source, PL_PAIR.target),
+                               (Graph(6, [(0, 1), (1, 2), (3, 4)]),
+                                Graph(5, [(0, 1), (2, 3), (3, 4)]))):
+            sim = nsd.similarity(source, target)
+            reference = nsd_outer_product_reference(nsd, source, target)
+            assert sim.shape == reference.shape
+            assert (np.abs(sim - reference).max()
+                    <= 1e-13 * np.abs(reference).max())
+
     def test_converges_toward_isorank(self):
         """NSD is an unrolled IsoRank: with the same (degree) prior and many
         iterations the two similarity matrices rank pairs consistently."""

@@ -16,7 +16,13 @@ from repro.assignment import (
     sparse_max_weight_matching,
 )
 from repro.assignment.base import ASSIGNMENT_METHODS
-from repro.assignment.jv import _augmenting_path_solve
+from repro.assignment.jv import (
+    _EPS_RATIO,
+    _EPS_STEPS,
+    _SWEEPS_PER_EPS,
+    _augmenting_path_solve,
+    _dual_reduced,
+)
 from repro.context import RunContext
 from repro.exceptions import AssignmentError
 from repro.observability import capture_trace, counter_totals
@@ -63,6 +69,37 @@ def degenerate_similarity(kind, n, m, seed):
         return np.round(rng.random((n, 2)) @ rng.random((2, m)), 2)
     assert kind == "noise"
     return rng.random((n, m))
+
+
+def exact_exp_dual_reduced(cost):
+    """``(reduced, tiny)``: the dual-reduced cost with every kernel built
+    by plain ``np.exp``, the reference the flushed kernels must reproduce
+    bit for bit, and the number of kernel entries in (0, 1e-307), which
+    the flush zeroes."""
+    m = cost.shape[1]
+    tiny = 0
+    with np.errstate(divide="ignore", over="ignore", under="ignore",
+                     invalid="ignore"):
+        spread = cost.max() - cost.min()
+        g = np.zeros(m)
+        buf = np.empty_like(cost)
+        eps = spread / _EPS_RATIO
+        for _ in range(_EPS_STEPS):
+            np.subtract(cost, g, out=buf)
+            buf -= buf.min(axis=1)[:, np.newaxis]
+            buf *= -1.0 / eps
+            np.exp(buf, out=buf)
+            tiny += int(np.count_nonzero((buf > 0) & (buf < 1e-307)))
+            col_scale = np.ones(m)
+            for _ in range(_SWEEPS_PER_EPS):
+                row_scale = 1.0 / (buf @ col_scale)
+                col_scale = 1.0 / (row_scale @ buf)
+            g += eps * np.log(col_scale)
+            eps /= _EPS_RATIO
+        np.subtract(cost, g, out=buf)
+        buf -= buf.min(axis=1)[:, np.newaxis]
+        assert np.isfinite(buf.max())
+    return buf, tiny
 
 
 def reference_mapping(sim):
@@ -254,6 +291,16 @@ class TestDualWarmStart:
             # Only a co-optimal tie may change: the reference optimum
             # must not be unique by a margin.
             assert not unique_by_margin(sim, reference, 1e-10)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [128, 150, 300])
+    def test_flushed_kernels_give_the_exact_reduced_cost(self, kind, n):
+        cost = -degenerate_similarity(kind, n, n, seed=n + 1)
+        reduced = _dual_reduced(cost)
+        reference, tiny = exact_exp_dual_reduced(cost)
+        # The flush has entries to zero, and zeroing them changes nothing.
+        assert tiny > 0
+        assert np.array_equal(reduced, reference)
 
     @pytest.mark.parametrize("method", ASSIGNMENT_METHODS)
     @pytest.mark.parametrize("n", [40, 150])

@@ -9,9 +9,13 @@ records.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import sparse
 
 import repro
 from repro.algorithms import get_algorithm
@@ -31,7 +35,7 @@ from repro.harness.journal import config_fingerprint
 from repro.harness.report import markdown_report
 from repro.harness.results import RunRecord
 from repro.noise import make_pair
-from repro.numerics import check_similarity, numerics_policy
+from repro.numerics import check_similarity, flushed_exp, numerics_policy
 
 TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
@@ -143,6 +147,21 @@ class TestNumericalWatchdog:
             check_similarity(np.zeros((3, 3)))
         assert events[0].kind == "zero_similarity"
 
+    def test_sanitize_repairs_a_sparse_copy(self):
+        sim = sparse.csr_matrix(np.array([[0.0, np.nan], [np.inf, 0.5]]))
+        with capture_diagnostics() as events:
+            fixed = check_similarity(sim)
+        assert sparse.issparse(fixed) and fixed is not sim
+        assert np.array_equal(fixed.toarray(), [[0.0, 0.5], [0.5, 0.5]])
+        assert np.isnan(sim.data).any()
+        assert events[0].kind == "nonfinite_similarity"
+
+    def test_zero_matrix_raises_under_strict(self):
+        with capture_diagnostics() as events, numerics_policy("strict"):
+            with pytest.raises(NumericsError, match="identically zero"):
+                check_similarity(np.zeros((2, 2)))
+        assert events[0].kind == "zero_similarity"
+
     def test_finite_matrix_untouched(self):
         sim = np.array([[0.2, 0.8], [0.5, 0.1]])
         with capture_diagnostics() as events:
@@ -168,6 +187,57 @@ class TestNumericalWatchdog:
         # the watchdog's trail survives into the failed record
         assert any(d["kind"] == "nonfinite_similarity"
                    for d in record.diagnostics)
+
+
+class TestFlushedExp:
+    """``flushed_exp``: an exact 0 below -707, ``np.exp`` bit for bit
+    everywhere else."""
+
+    @staticmethod
+    def expected(x):
+        with np.errstate(over="ignore", under="ignore"):
+            return np.where(x < -707.0, 0.0, np.exp(x))
+
+    def test_flushes_below_the_threshold(self):
+        x = np.array([-707.0000001, -708.5, -745.2, -1e300, -np.inf])
+        out = flushed_exp(x)
+        assert np.array_equal(out, np.zeros(5))
+        assert not np.signbit(out).any()
+
+    def test_exact_at_and_above_the_threshold(self):
+        x = np.array([-707.0, -706.99, -300.0, -1.0, 0.0, 1e-300, 1.0,
+                      700.0, np.inf])
+        with np.errstate(over="ignore"):
+            assert np.array_equal(flushed_exp(x), np.exp(x))
+
+    def test_nan_passes_through(self):
+        out = flushed_exp(np.array([np.nan, -800.0, np.nan, 0.0]))
+        assert np.isnan(out[[0, 2]]).all()
+        assert out[1] == 0.0 and out[3] == 1.0
+
+    @given(hnp.arrays(np.float64,
+                      hnp.array_shapes(max_dims=2, min_side=0, max_side=9),
+                      elements=st.floats(allow_nan=True,
+                                         allow_infinity=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_np_exp_where_it_keeps(self, x):
+        with np.errstate(over="ignore"):
+            out = flushed_exp(x)
+        assert out.shape == x.shape
+        assert np.array_equal(out, self.expected(x), equal_nan=True)
+
+    def test_in_place(self):
+        x = np.array([[-800.0, -1.0], [0.0, -707.5]])
+        expected = self.expected(x)
+        assert flushed_exp(x, out=x) is x
+        assert np.array_equal(x, expected)
+
+    def test_underflowing_arguments_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="warn"):
+                out = flushed_exp(np.array([-800.0, -710.0, -745.5]))
+        assert not out.any()
 
 
 class TestAssignmentFallback:

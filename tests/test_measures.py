@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ReproError
 from repro.graphs import Graph, cycle_graph, path_graph
@@ -13,7 +14,75 @@ from repro.measures import (
     matched_neighborhood_consistency,
     symmetric_substructure_score,
 )
+from repro.measures.metrics import _aligned_edge_count
 from repro.noise import make_pair
+
+
+# ----------------------------------------------------------------------
+# References: the definitional loops the array implementations must
+# reproduce exactly.
+# ----------------------------------------------------------------------
+
+def aligned_edge_count_reference(source, target, mapping):
+    """``|f(E_A)|`` by one ``has_edge`` probe per source edge."""
+    count = 0
+    for u, v in source.edges():
+        a, b = int(mapping[u]), int(mapping[v])
+        if a >= 0 and b >= 0 and a != b and target.has_edge(a, b):
+            count += 1
+    return count
+
+
+def induced_edge_count_reference(target, mapping):
+    """``|E(G_B[f(V_A)])|`` by one membership probe per target edge."""
+    image = {int(j) for j in mapping if j >= 0}
+    return sum(1 for u, v in target.edges()
+               if int(u) in image and int(v) in image)
+
+
+def mnc_reference(source, target, mapping):
+    """MNC (Eq. 15) with one pair of Python sets per source node."""
+    arr = np.asarray(mapping, dtype=np.int64)
+    if source.num_nodes == 0:
+        return 0.0
+    scores = np.zeros(source.num_nodes)
+    for i in range(source.num_nodes):
+        j = arr[i]
+        if j < 0:
+            continue
+        mapped = arr[source.neighbors(i)]
+        mapped = set(int(x) for x in mapped[mapped >= 0])
+        actual = set(int(x) for x in target.neighbors(int(j)))
+        union = mapped | actual
+        if not union:
+            scores[i] = 1.0
+        else:
+            scores[i] = len(mapped & actual) / len(union)
+    return float(scores.mean())
+
+
+@st.composite
+def alignment_cases(draw):
+    """``(source, target, mapping)``: graphs of 0-30 nodes with isolated
+    nodes (and edgeless or empty graphs) mapped into a smaller or larger
+    target, injectively or many-to-one, with ``-1`` entries."""
+    n_source, n_target = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+
+    def graph(n):
+        ends = st.integers(0, max(n - 1, 0))
+        pairs = draw(st.lists(st.tuples(ends, ends), max_size=60))
+        return Graph(n, [(u, v) for u, v in pairs if u != v])
+
+    source, target = graph(n_source), graph(n_target)
+    if n_target >= n_source and draw(st.booleans()):
+        mapping = draw(st.permutations(range(n_target)))[:n_source]
+        unmatched = draw(st.lists(st.booleans(), min_size=n_source,
+                                  max_size=n_source))
+        mapping = [-1 if drop else j for j, drop in zip(mapping, unmatched)]
+    else:
+        mapping = draw(st.lists(st.integers(-1, n_target - 1),
+                                min_size=n_source, max_size=n_source))
+    return source, target, np.asarray(mapping, dtype=np.int64)
 
 
 class TestAccuracy:
@@ -170,54 +239,17 @@ class TestAlignedEdgeCountVectorization:
     """The vectorized |f(E_A)| must agree with the definitional
     per-edge has_edge loop on arbitrary graphs and mappings."""
 
-    @staticmethod
-    def _random_case(draw):
-        from hypothesis import strategies as st
-
-        n_source = draw(st.integers(min_value=0, max_value=30))
-        n_target = draw(st.integers(min_value=1, max_value=30))
-        source_edges = draw(st.lists(
-            st.tuples(st.integers(0, max(n_source - 1, 0)),
-                      st.integers(0, max(n_source - 1, 0))),
-            max_size=60,
-        ))
-        target_edges = draw(st.lists(
-            st.tuples(st.integers(0, n_target - 1),
-                      st.integers(0, n_target - 1)),
-            max_size=60,
-        ))
-        mapping = draw(st.lists(
-            st.integers(-1, n_target - 1),
-            min_size=n_source, max_size=n_source,
-        ))
-        return n_source, n_target, source_edges, target_edges, mapping
-
     def test_matches_loop_reference_on_random_graphs(self):
-        from hypothesis import given, settings, strategies as st
-
-        from repro.measures.metrics import (
-            _aligned_edge_count,
-            _aligned_edge_count_reference,
-        )
-
         @settings(max_examples=200, deadline=None)
-        @given(st.data())
-        def check(data):
-            n_s, n_t, s_edges, t_edges, mapping = self._random_case(data.draw)
-            source = Graph(n_s, [(u, v) for u, v in s_edges if u != v])
-            target = Graph(n_t, [(u, v) for u, v in t_edges if u != v])
-            arr = np.asarray(mapping, dtype=np.int64)
-            assert (_aligned_edge_count(source, target, arr)
-                    == _aligned_edge_count_reference(source, target, arr))
+        @given(alignment_cases())
+        def check(case):
+            source, target, mapping = case
+            assert (_aligned_edge_count(source, target, mapping)
+                    == aligned_edge_count_reference(source, target, mapping))
 
         check()
 
     def test_matches_loop_reference_on_noisy_pairs(self):
-        from repro.measures.metrics import (
-            _aligned_edge_count,
-            _aligned_edge_count_reference,
-        )
-
         rng = np.random.default_rng(7)
         for seed in range(5):
             pair = make_pair(cycle_graph(50), "multimodal", 0.1, seed=seed)
@@ -226,5 +258,59 @@ class TestAlignedEdgeCountVectorization:
                             np.full(pair.source.num_nodes, -1)):
                 arr = np.asarray(mapping, dtype=np.int64)
                 assert (_aligned_edge_count(pair.source, pair.target, arr)
-                        == _aligned_edge_count_reference(
+                        == aligned_edge_count_reference(
                             pair.source, pair.target, arr))
+
+
+class TestMncOracle:
+    """MNC from edge arrays against the per-node set loop: equal, not
+    close, since both divide the same two integers per node and average
+    the same scores."""
+
+    @given(alignment_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_set_loop(self, case):
+        source, target, mapping = case
+        assert (matched_neighborhood_consistency(source, target, mapping)
+                == mnc_reference(source, target, mapping))
+
+    @pytest.mark.parametrize("noise_type", ["one-way", "multimodal"])
+    def test_matches_set_loop_on_noisy_pairs(self, pl_graph, noise_type):
+        pair = make_pair(pl_graph, noise_type, 0.1, seed=4)
+        rng = np.random.default_rng(4)
+        n_a, n_b = pair.source.num_nodes, pair.target.num_nodes
+        for mapping in (pair.ground_truth, rng.permutation(n_b)[:n_a],
+                        rng.integers(-1, n_b, size=n_a),
+                        np.zeros(n_a, dtype=np.int64)):
+            assert (matched_neighborhood_consistency(
+                pair.source, pair.target, mapping)
+                == mnc_reference(pair.source, pair.target, mapping))
+
+
+class TestSharedEdgeCounts:
+    """``evaluate_all`` counts the aligned and induced edges once for EC,
+    ICS and S³; every measure must equal its standalone function and the
+    paper's formula over the reference counts."""
+
+    @given(alignment_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_all_matches_each_measure(self, case, with_truth):
+        source, target, mapping = case
+        truth = mapping if with_truth else None
+        out = evaluate_all(source, target, mapping, truth)
+        assert out["ec"] == edge_correctness(source, target, mapping)
+        assert out["ics"] == induced_conserved_structure(source, target,
+                                                         mapping)
+        assert out["s3"] == symmetric_substructure_score(source, target,
+                                                         mapping)
+        assert out["mnc"] == matched_neighborhood_consistency(
+            source, target, mapping)
+        assert ("accuracy" in out) == with_truth
+
+        aligned = aligned_edge_count_reference(source, target, mapping)
+        induced = induced_edge_count_reference(target, mapping)
+        union = source.num_edges + induced - aligned
+        assert out["ec"] == (aligned / source.num_edges
+                             if source.num_edges else 0.0)
+        assert out["ics"] == (aligned / induced if induced else 0.0)
+        assert out["s3"] == (aligned / union if union else 0.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GraphError
 from repro.graphs import (
@@ -20,7 +21,45 @@ from repro.graphs import (
 from repro.graphs.operations import add_edges, bfs_distances, remove_edges
 
 
+def dfs_components(graph):
+    """Component labels by one Python DFS per component, numbered in
+    the order the scan over nodes 0..n-1 first meets them."""
+    n = graph.num_nodes
+    labels = np.full(n, -1, dtype=np.int64)
+    current = 0
+    for start in range(n):
+        if labels[start] != -1:
+            continue
+        stack = [start]
+        labels[start] = current
+        while stack:
+            node = stack.pop()
+            for nb in graph.neighbors(node):
+                if labels[nb] == -1:
+                    labels[nb] = current
+                    stack.append(int(nb))
+        current += 1
+    return labels
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs of 0-40 nodes with few edges: empty graphs, isolated nodes
+    and many components."""
+    n = draw(st.integers(0, 40))
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=50))
+    return Graph(n, [(u, v) for u, v in pairs if u != v])
+
+
 class TestConnectivity:
+    @given(sparse_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_labels_match_dfs_reference(self, graph):
+        labels = connected_components(graph)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, dfs_components(graph))
+
     def test_single_component(self):
         assert is_connected(cycle_graph(5))
         assert number_of_components(cycle_graph(5)) == 1

@@ -110,6 +110,110 @@ def reference_sinkhorn(
     return plan * (mu / row)[:, np.newaxis]
 
 
+# ----------------------------------------------------------------------
+# Reference: the scaling-domain loop with plain ``np.exp`` kernels (no
+# flush below 1e-307) and the full check of every half-step (scaling and
+# denominator against both bounds).  ``sinkhorn`` must reproduce it bit
+# for bit.
+# ----------------------------------------------------------------------
+
+def _unflushed_logsumexp(mat: np.ndarray, axis: int) -> np.ndarray:
+    peak = mat.max(axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    return (peak + np.log(np.exp(mat - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def _outside(scaling: np.ndarray, bound: float) -> bool:
+    # Written so that a NaN scaling fails both comparisons.
+    return not (scaling.min() >= 1.0 / bound and scaling.max() <= bound)
+
+
+def unflushed_sinkhorn(
+    cost: np.ndarray,
+    mu: Optional[np.ndarray] = None,
+    nu: Optional[np.ndarray] = None,
+    epsilon: float = 0.01,
+    max_iter: int = 500,
+    tol: float = 1e-9,
+    raise_on_failure: bool = False,
+) -> np.ndarray:
+    _ABSORB, _GUARD = 1e50, 1e100
+    c = np.asarray(cost, dtype=np.float64)
+    n, m = c.shape
+    mu = _reference_check_marginal(mu, n)
+    nu = _reference_check_marginal(nu, m)
+
+    mass_mu = np.maximum(mu, 1e-300)
+    mass_nu = np.maximum(nu, 1e-300)
+    log_mu = np.log(mass_mu)
+    log_nu = np.log(mass_nu)
+    scaled = -c / epsilon
+    a = -scaled.max(axis=1)
+    b = np.zeros(m)
+    kernel = np.exp(scaled + a[:, np.newaxis])
+    f = np.zeros(n)
+    g = np.zeros(m)
+    ones_n, ones_m = np.ones(n), np.ones(m)
+    v = ones_m
+
+    def absorbed_kernel() -> np.ndarray:
+        return np.exp(scaled + a[:, np.newaxis] + b[np.newaxis, :])
+
+    converged = False
+    shift = np.inf
+    iterations = 0
+    with np.errstate(divide="ignore", over="ignore", under="ignore",
+                     invalid="ignore"):
+        for _ in range(max_iter):
+            kv = kernel @ v
+            u = mass_mu / kv
+            if _outside(u, _GUARD) or _outside(kv, _GUARD):
+                b = b + np.log(v)
+                a = log_mu - _unflushed_logsumexp(scaled + b[np.newaxis, :], axis=1)
+                u, v = ones_n, ones_m
+                kernel = absorbed_kernel()
+            elif _outside(u, _ABSORB):
+                a, b = a + np.log(u), b + np.log(v)
+                u, v = ones_n, ones_m
+                kernel = absorbed_kernel()
+            ku = kernel.T @ u
+            v = mass_nu / ku
+            if _outside(v, _GUARD) or _outside(ku, _GUARD):
+                a = a + np.log(u)
+                b = log_nu - _unflushed_logsumexp(scaled + a[:, np.newaxis], axis=0)
+                u, v = ones_n, ones_m
+                kernel = absorbed_kernel()
+            elif _outside(v, _ABSORB):
+                a, b = a + np.log(u), b + np.log(v)
+                u, v = ones_n, ones_m
+                kernel = absorbed_kernel()
+            f_new = a + np.log(u)
+            g_new = b + np.log(v)
+            shift = epsilon * max(np.abs(f_new - f).max(), np.abs(g_new - g).max())
+            f, g = f_new, g_new
+            iterations += 1
+            if shift < tol:
+                converged = True
+                break
+    add_counter("sinkhorn_iterations", iterations)
+    if not converged:
+        if raise_on_failure:
+            raise ConvergenceError(
+                f"Sinkhorn did not converge in {max_iter} iterations"
+            )
+        record_diagnostic(
+            "sinkhorn", "nonconvergence",
+            f"no convergence in {max_iter} iterations "
+            f"(last potential shift {shift:.3e}, tol {tol:.1e}); "
+            "returning the current plan",
+            fallback_used="current_plan",
+        )
+    plan = np.exp(scaled + f[:, np.newaxis] + g[np.newaxis, :])
+    row = plan.sum(axis=1)
+    row[row == 0] = 1.0
+    return plan * (mu / row)[:, np.newaxis]
+
+
 def _traced(solver, *args, **kwargs):
     """``(plan, sinkhorn_iterations, diagnostics)`` of one solver call."""
     with RunContext(trace=True).enter(), capture_trace() as trace, \
@@ -270,6 +374,59 @@ class TestSinkhornOracle:
             None if nu is None else nu[cols],
             epsilon=epsilon, max_iter=max_iter)
         assert np.abs(permuted - plan[np.ix_(rows, cols)]).max() <= 1e-10
+
+
+class TestSinkhornBitIdentity:
+    """``sinkhorn`` (flushed kernels, one min/max per half-step) against
+    the unflushed loop that checks every denominator: the same plan bit
+    for bit, the same sweep count and the same diagnostics."""
+
+    @given(sinkhorn_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unflushed_loop(self, problem):
+        cost, mu, nu, epsilon, max_iter = problem
+        plan, sweeps, events = _traced(sinkhorn, cost, mu, nu,
+                                       epsilon=epsilon, max_iter=max_iter)
+        ref_plan, ref_sweeps, ref_events = _traced(
+            unflushed_sinkhorn, cost, mu, nu, epsilon=epsilon,
+            max_iter=max_iter)
+        assert np.array_equal(plan, ref_plan)
+        assert sweeps == ref_sweeps
+        assert events == ref_events
+
+    @pytest.mark.parametrize("tiny", [1e-60, 1e-50, 1e-49, 0.0])
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-2, 0.1])
+    def test_marginals_below_the_floor(self, tiny, epsilon):
+        # A marginal entry below 1e-49 keeps the full denominator check:
+        # a scaling inside [1e-50, 1e50] no longer bounds K v.
+        rng = np.random.default_rng(5)
+        cost = rng.random((9, 7)) * 4.0
+        mu = rng.random(9)
+        mu[[2, 5]] = tiny
+        nu = rng.random(7)
+        nu[3] = tiny
+        plan, sweeps, events = _traced(sinkhorn, cost, mu, nu,
+                                       epsilon=epsilon)
+        ref_plan, ref_sweeps, ref_events = _traced(
+            unflushed_sinkhorn, cost, mu, nu, epsilon=epsilon)
+        assert np.array_equal(plan, ref_plan)
+        assert (sweeps, events) == (ref_sweeps, ref_events)
+
+    def test_flushes_on_a_cone_sized_problem(self):
+        # Large costs at a small epsilon: a quarter of the first kernel's
+        # exponents fall below -707, many of them where np.exp would
+        # still return a (subnormal) non-zero, and the plan is still the
+        # unflushed loop's.
+        rng = np.random.default_rng(11)
+        cost = rng.random((120, 120)) * 50.0
+        exponent = (cost.min(axis=1, keepdims=True) - cost) / 0.05
+        assert (exponent < -707).mean() > 0.25
+        assert np.count_nonzero((exponent < -707) & (exponent > -745)) > 100
+        plan, sweeps, events = _traced(sinkhorn, cost, epsilon=0.05,
+                                       max_iter=300)
+        ref = _traced(unflushed_sinkhorn, cost, epsilon=0.05, max_iter=300)
+        assert np.array_equal(plan, ref[0])
+        assert (sweeps, events) == ref[1:]
 
 
 class TestGromovWasserstein:
