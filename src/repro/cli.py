@@ -217,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the crash-safe alignment service on a service directory")
     serve.add_argument("--service-dir", required=True, metavar="PATH",
-                       help="directory holding tickets, queue, result cache, "
-                            "and event log (created if missing; restart with "
-                            "the same path to recover)")
+                       help="directory holding the ticket queue (results "
+                            "in its outcome files) and event log (created if "
+                            "missing; restart with the same path to recover)")
     serve.add_argument("--workers", type=int, default=2, metavar="N",
                        help="concurrent request executors (default 2)")
     serve.add_argument("--max-depth", type=int, default=256, metavar="N",

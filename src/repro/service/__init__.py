@@ -14,7 +14,6 @@ from repro.service.queue import (
     QueueFull,
 )
 from repro.service.server import (
-    RESULT_ARTIFACT,
     AlignmentService,
     ServiceUnavailable,
     load_service_events,
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_MEASURES",
     "DurableRequestQueue",
     "QueueFull",
-    "RESULT_ARTIFACT",
     "ServiceUnavailable",
     "TERMINAL_STATES",
     "TICKET_STATES",

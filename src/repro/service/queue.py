@@ -16,14 +16,14 @@ of the key)::
     requests/<key>.req     pickled request payload, atomically published
     leases/<hash>.lease    lease (pid + host + attempt + heartbeat)
     leases/<hash>.attempts orphan-attempt tombstone
-    done/<key>.done        terminal outcome: state, attempts, error (JSON)
+    done/<key>.done        JSON outcome: state, attempts, error, record
 
 **A ticket is its files.**  It is ``pending`` while only its request
 exists, ``leased`` while a lease file exists (``attempts`` is the
 lease's), and terminal once its outcome exists.  An outcome is fsynced
 and linked into place whole, before the lease it ends is released, and
 never replaced: the first terminal outcome wins.  Request metadata and
-outcomes never change once written, so each process reads them once.
+outcome states never change once written, so each process reads them once.
 
 **Admission control** is a hard bound on backlog: :meth:`enqueue`
 raises :class:`QueueFull` once ``depth()`` (accepted requests without an
@@ -553,12 +553,6 @@ class DurableRequestQueue:
         """Every key with a durable request payload, finished or not."""
         return sorted(self._names(self.requests_dir, ".req"))
 
-    def pending_keys(self) -> List[str]:
-        """Keys of the pending tickets, oldest request first."""
-        pending = sorted(self.tickets("pending"),
-                         key=lambda ticket: ticket.submitted_at)
-        return [ticket.key for ticket in pending]
-
     # -- claims ------------------------------------------------------------
 
     def claim(self, key: str) -> Optional[Path]:
@@ -602,14 +596,15 @@ class DurableRequestQueue:
     # -- outcomes ----------------------------------------------------------
 
     def mark_done(self, key: str, state: str = "done", attempts: int = 0,
-                  error: str = "") -> bool:
+                  error: str = "", record: Optional[Dict] = None) -> bool:
         """Publish the ticket's terminal outcome unless it has one;
         returns whether this call published it.
 
-        The outcome is fsynced before it is linked into place, so a
-        reader never sees part of one, and the link fails on an existing
-        outcome: the first terminal outcome wins.  Callers publish it
-        before they release the ticket's lease.
+        ``record`` is the finished run's ``RunRecord.to_dict()``, when the
+        request ran.  The outcome is fsynced before it is linked into
+        place, so a reader never sees part of one, and the link fails on
+        an existing outcome: the first terminal outcome wins.  Callers
+        publish it before they release the ticket's lease.
         """
         outcome = {"state": state, "attempts": int(attempts),
                    "error": str(error)}
@@ -617,7 +612,8 @@ class DurableRequestQueue:
         tmp = path.with_name(
             f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         with open(tmp, "wb") as handle:
-            handle.write(json.dumps(outcome, sort_keys=True).encode("utf-8"))
+            handle.write(json.dumps(dict(outcome, record=record),
+                                    sort_keys=True).encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
         try:
@@ -632,7 +628,7 @@ class DurableRequestQueue:
 
     def outcome(self, key: str) -> Optional[Dict[str, object]]:
         """The ticket's terminal ``state``, ``attempts`` and ``error``;
-        ``None`` while it has none."""
+        ``None`` while it has none.  Its record stays on disk."""
         outcome = self._outcomes.get(key)
         if outcome is not None:
             return outcome
@@ -653,6 +649,13 @@ class DurableRequestQueue:
                                 f"{key} is unreadable"}
         self._outcomes[key] = outcome
         return outcome
+
+    def record(self, key: str) -> Optional[Dict[str, object]]:
+        """The ``RunRecord.to_dict()`` in the ticket's outcome file, if any."""
+        try:
+            return json.loads(self.done_path(key).read_bytes()).get("record")
+        except (OSError, ValueError, AttributeError):
+            return None
 
     def stats(self) -> Dict[str, int]:
         counts = self.counts()

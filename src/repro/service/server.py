@@ -21,9 +21,9 @@ repository has already hardened one PR at a time:
 * transient failures retry through the existing
   :class:`~repro.harness.retry.RetryPolicy` with decorrelated jitter
   seeded from the ticket key;
-* results land in the crash-safe disk artifact cache
-  (:mod:`repro.cache_disk`), so a re-served request is a cache hit and
-  an evicted result is recomputed transparently;
+* a finished ticket's result is its outcome file: the measured record
+  is published with the terminal state in one fsynced file, so a
+  re-served request reads that file and runs nothing;
 * every recovery action (lease reclaims, expiries, recomputes, drain)
   is logged to a rotated :class:`~repro.harness.scheduler.EventLog`.
 
@@ -55,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.cache_disk import DiskArtifactCache, atomic_write_bytes
+from repro.cache_disk import atomic_write_bytes
 from repro.exceptions import ExperimentError
 from repro.harness.budget import CellBudget, run_cell_with_budget
 from repro.harness.results import RunRecord
@@ -78,10 +78,6 @@ __all__ = [
     "load_service_events",
     "read_health",
 ]
-
-# Artifact name under which a ticket's measured record is cached, keyed
-# by (source graph digest, this artifact, {"ticket": key}).
-RESULT_ARTIFACT = "service:result"
 
 _HEALTH_FILE = "health.json"
 
@@ -138,11 +134,10 @@ class AlignmentService:
     """Crash-safe ticketed front-end over one service directory.
 
     One service directory holds everything — the durable request queue
-    (which is also the only record of ticket state), the result cache,
-    the recovery event log, and the health heartbeat::
+    (which is also the only record of ticket state and of each finished
+    ticket's result), the recovery event log, and the health heartbeat::
 
         <service_dir>/queue/              requests / leases / outcomes
-        <service_dir>/cache/              DiskArtifactCache of results
         <service_dir>/events.jsonl        rotated recovery-event log
         <service_dir>/health.json         heartbeat for external monitors
 
@@ -198,10 +193,10 @@ class AlignmentService:
         self.queue = DurableRequestQueue(
             self.root / "queue", max_depth=max_depth,
             lease_timeout_seconds=lease_timeout_seconds)
-        self.results = DiskArtifactCache(self.root / "cache")
         self.events = EventLog(self.root / "events.jsonl")
         self._events_lock = threading.Lock()
         self._runner = runner or _default_runner
+        self._recomputed: Dict[str, Dict[str, object]] = {}  # see result_sync
         self._draining = False
         self._in_flight: Dict[str, float] = {}
         self._in_flight_lock = threading.Lock()
@@ -217,21 +212,21 @@ class AlignmentService:
 
     # -- expiry ------------------------------------------------------------
 
-    def _expire_overdue(self) -> int:
-        """Expire queued tickets whose deadline passed; returns the count."""
-        expired = 0
+    def _expire_overdue(self) -> List[str]:
+        """Expire queued tickets whose deadline passed; returns the keys
+        of the other pending tickets, oldest request first."""
+        live = []
         now = time.time()
         for ticket in self.queue.tickets("pending"):
             remaining = ticket.remaining_seconds(now)
             if remaining is None or remaining > 0:
-                continue
-            if self.queue.mark_done(
+                live.append(ticket)
+            elif self.queue.mark_done(
                     ticket.key, "expired", attempts=ticket.attempts,
                     error=(f"deadline of {ticket.deadline_seconds}s elapsed "
                            "before the request ran")):
                 self._record_event("ticket_expired", key=ticket.key)
-                expired += 1
-        return expired
+        return [t.key for t in sorted(live, key=lambda t: t.submitted_at)]
 
     # -- admission / submission --------------------------------------------
 
@@ -300,26 +295,25 @@ class AlignmentService:
         """The measured record of a finished ticket.
 
         Serves ``done`` and ``failed`` tickets (a failed record *is* the
-        result — the same contract as a sweep's ✗ cells).  Raises
-        :class:`TicketError` for tickets that are still queued or
-        running, and for ``expired``/``cancelled`` ones, which never
-        produced a record.  A ``done`` result evicted or quarantined
-        from the cache is recomputed transparently and re-stored —
-        requests are deterministic, so the recompute is the result.  A
-        ``failed`` ticket's request is never run here (it may be the
-        one that killed its workers): without a cached record it gets
-        a failed record carrying the ticket's error and attempts.
+        result — the same contract as a sweep's ✗ cells) from the record
+        published with the ticket's outcome.  Raises :class:`TicketError`
+        for tickets that are still queued or running, and for
+        ``expired``/``cancelled`` ones, which never produced a record.
+        An outcome without a record never ran (abandoned or unloadable)
+        or was written by an earlier version.  A ``failed`` one gets a
+        failed record carrying the ticket's error and attempts, and its
+        request never runs here (it may be what killed its workers).  A
+        ``done`` one is recomputed once per process — requests are
+        deterministic, so the recompute is the result.
         """
         ticket = self.status_sync(key)
         if ticket.state not in ("done", "failed"):
             raise TicketError(
                 f"ticket {key} has no result (state={ticket.state!r})"
             )
-        request = self.queue.load_request(key)
-        found, payload = self.results.load(request.source, RESULT_ARTIFACT,
-                                           params={"ticket": key})
-        if found:
-            return RunRecord.from_dict(dict(payload))
+        record = self._recomputed.get(key) or self.queue.record(key)
+        if record is not None:
+            return RunRecord.from_dict(record)
         if ticket.state == "failed":
             return RunRecord(
                 algorithm=ticket.algorithm, dataset="service",
@@ -327,9 +321,9 @@ class AlignmentService:
                 assignment=ticket.assignment, measures={},
                 similarity_time=0.0, assignment_time=0.0, failed=True,
                 error=ticket.error, attempts=ticket.attempts)
-        record = self._runner(request, self._budget_for(ticket))
-        self.results.store(request.source, RESULT_ARTIFACT, record.to_dict(),
-                           params={"ticket": key})
+        record = self._runner(self.queue.load_request(key),
+                              self._budget_for(ticket))
+        self._recomputed[key] = record.to_dict()
         self._record_event("result_recomputed", key=key)
         return record
 
@@ -356,11 +350,11 @@ class AlignmentService:
     def claim_next(self) -> Optional[str]:
         """Lease the oldest pending request; ``None`` when nothing is.
 
-        Expires overdue tickets on the way.  The returned key's lease is
-        held by this process; pass it to :meth:`execute_claimed`.
+        Expires overdue tickets on the way, from the same listing.  The
+        returned key's lease is held by this process; pass it to
+        :meth:`execute_claimed`.
         """
-        self._expire_overdue()
-        for key in self.queue.pending_keys():
+        for key in self._expire_overdue():
             claim = self.queue.claim(key)
             if claim is None:
                 continue
@@ -429,18 +423,17 @@ class AlignmentService:
             record = attempt(1)
         if prior:
             record = replace(record, attempts=record.attempts + prior)
-        self.results.store(request.source, RESULT_ARTIFACT,
-                           record.to_dict(), params={"ticket": key})
+        outcome = dict(attempts=record.attempts, record=record.to_dict())
         if not record.failed:
-            return dict(state="done", attempts=record.attempts)
+            return dict(outcome, state="done")
         # A deadline becomes the budget's time limit, so its timeout is
         # the deadline elapsing mid-run.
         if remaining is not None and record.error.startswith("timeout"):
             self._record_event("ticket_expired", key=key, mid_run=True)
-            return dict(state="expired", attempts=record.attempts,
+            return dict(outcome, state="expired",
                         error=(f"deadline of {ticket.deadline_seconds}s "
                                "elapsed while the request ran"))
-        return dict(state="failed", attempts=record.attempts,
+        return dict(outcome, state="failed",
                     error=(record.error.splitlines() or ["failed"])[0])
 
     def process_once(self) -> Optional[Ticket]:

@@ -3,7 +3,7 @@
 Covers the lease-file primitives under the queue (exclusive claims,
 heartbeats, stale-lease detection, attempt tombstones), the durable
 request queue (admission, claims, stale-lease reclaim, ticket state
-derived from its files), and the service itself:
+and result derived from its files), and the service itself:
 idempotent submission under concurrent races (hypothesis),
 backpressure, deadlines, cancellation, drain, and restart recovery.
 The SIGKILL chaos scenario lives in ``test_service_chaos.py``.
@@ -269,15 +269,6 @@ class TestDurableRequestQueue:
         with pytest.raises(ExperimentError):
             queue.load_request("nope")
 
-    def test_pending_keys_oldest_first(self, tmp_path):
-        queue = DurableRequestQueue(tmp_path)
-        k0, _ = queue.enqueue(request_for(0))
-        time.sleep(0.02)
-        k1, _ = queue.enqueue(request_for(1))
-        assert queue.pending_keys() == [k0, k1]
-        queue.mark_done(k0)
-        assert queue.pending_keys() == [k1]
-
 
 class TestTicketState:
     """A ticket's state is its queue files: every process reads the same
@@ -417,6 +408,61 @@ class TestTicketState:
         assert fresh.status_sync(key).state == "cancelled"
         svc.close(), fresh.close()
 
+    def test_a_new_ticket_is_two_files_and_four_fsyncs(
+            self, tmp_path, monkeypatch):
+        svc = AlignmentService(tmp_path, workers=1, runner=fast_runner)
+        fsyncs = []
+        fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        key = svc.submit_sync(request_for(0)).key
+        assert svc.claim_next() == key
+        assert svc.execute_claimed(key).state == "done"
+        record = svc.result_sync(key)
+        monkeypatch.undo()
+        # The request and the outcome: each file, then its directory.
+        assert len(fsyncs) == 4
+        files = sorted(path.relative_to(tmp_path).as_posix()
+                       for path in tmp_path.rglob("*") if path.is_file())
+        assert files == [f"queue/done/{key}.done",
+                         f"queue/requests/{key}.req"]
+        assert not (tmp_path / "cache").exists()
+        outcome = json.loads(svc.queue.done_path(key).read_bytes())
+        assert RunRecord.from_dict(outcome["record"]) == record
+        assert record.measures == {"s3": 1.0}
+        # Only the state is kept in memory; the record stays on disk.
+        assert set(svc.queue.outcome(key)) == {"state", "attempts", "error"}
+        svc.close()
+
+    def test_second_instance_serves_the_result_without_running_it(
+            self, tmp_path):
+        calls = {"n": 0}
+
+        def counting_runner(request, budget):
+            calls["n"] += 1
+            return fast_record(request)
+
+        def rich_runner(request, budget):
+            return replace(
+                fast_record(request, measures={"s3": 1 / 3, "mnc": 0.1}),
+                diagnostics=[{"kind": "probe", "detail": "kept"}])
+
+        first = AlignmentService(tmp_path, workers=1, runner=rich_runner)
+        key = first.submit_sync(request_for(0)).key
+        first.run_until_drained(max_seconds=30)
+        second = AlignmentService(tmp_path, workers=1,
+                                  runner=counting_runner)
+        served = second.result_sync(key)
+        assert served == first.result_sync(key)
+        assert served.measures == {"s3": 1 / 3, "mnc": 0.1}
+        assert served.diagnostics == [{"kind": "probe", "detail": "kept"}]
+        assert calls["n"] == 0
+        first.close(), second.close()
+
     def test_directory_with_a_ticket_journal_is_refused(self, tmp_path):
         (tmp_path / "tickets").mkdir()
         (tmp_path / "tickets" / "host-1.jsonl").write_text(
@@ -545,22 +591,43 @@ class TestServiceLifecycle:
         assert svc.result_sync(ticket.key).failed
         svc.close()
 
-    def test_result_recomputed_after_cache_eviction(self, tmp_path):
+    def test_done_outcome_without_a_record_is_recomputed(self, tmp_path):
         calls = {"n": 0}
 
         def counting_runner(request, budget):
             calls["n"] += 1
             return fast_record(request)
         svc = AlignmentService(tmp_path, workers=1, runner=counting_runner)
-        ticket = svc.submit_sync(request_for(0))
-        svc.run_until_drained(max_seconds=30)
+        key = svc.submit_sync(request_for(0)).key
+        # An outcome as an earlier version wrote it: no record.
+        svc.queue.done_path(key).write_text(json.dumps(
+            {"attempts": 1, "error": "", "state": "done"}))
+        assert svc.status_sync(key).state == "done"
+        recomputed = svc.result_sync(key)
+        assert recomputed.measures == {"s3": 1.0}
+        assert calls["n"] == 1  # the deterministic request ran again
+        # ...once per process: the next fetch serves the recomputed record.
+        assert svc.result_sync(key) == recomputed
         assert calls["n"] == 1
-        svc.results.prune(max_bytes=0)  # evict everything
-        record = svc.result_sync(ticket.key)
-        assert record.measures == {"s3": 1.0}
-        assert calls["n"] == 2  # transparently recomputed
-        assert svc.result_sync(ticket.key).measures == {"s3": 1.0}
-        assert calls["n"] == 2  # ... and re-stored
+        assert [e["key"] for e in load_service_events(tmp_path)
+                if e["kind"] == "result_recomputed"] == [key]
+        svc.close()
+
+    def test_claim_next_takes_the_oldest_request_first(self, tmp_path):
+        svc = AlignmentService(tmp_path, workers=1, runner=fast_runner)
+        keys = []
+        for seed in (3, 1, 2, 0):
+            keys.append(svc.submit_sync(request_for(seed)).key)
+            time.sleep(0.02)
+        assert sorted(keys) != keys  # the order is not the keys'
+        svc.cancel_sync(keys[0])
+        claimed = []
+        key = svc.claim_next()
+        while key is not None:
+            claimed.append(key)
+            svc.execute_claimed(key)
+            key = svc.claim_next()
+        assert claimed == keys[1:]
         svc.close()
 
     def test_result_of_an_abandoned_ticket_never_runs_its_request(
