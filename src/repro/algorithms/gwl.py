@@ -83,8 +83,8 @@ class GWL(AlignmentAlgorithm):
 
     def _similarity(self, source: Graph, target: Graph,
                     rng: np.random.Generator) -> np.ndarray:
-        c_a = source.adjacency(dense=True)
-        c_b = target.adjacency(dense=True)
+        c_a = source.adjacency()
+        c_b = target.adjacency()
         mu = degree_distribution(source, self.theta)
         nu = degree_distribution(target, self.theta)
 

@@ -315,6 +315,17 @@ class TestSGWL:
         # Block similarity matrix is sparse.
         assert sparse.issparse(result.similarity)
 
+    @pytest.mark.parametrize("model", ["er", "pl"])
+    def test_zero_noise_is_perfect_at_default_settings(self, model):
+        """n=300 is above the partition's old default leaf size (256),
+        where the partition's clusters failed to correspond (0.04 on ER,
+        0.30 on PL); the default now solves it directly."""
+        graph = (erdos_renyi_graph(300, 10 / 299, seed=5) if model == "er"
+                 else powerlaw_cluster_graph(300, 5, 0.3, seed=5))
+        pair = make_pair(graph, "one-way", 0.0, seed=3)
+        result = SGWL().align(pair.source, pair.target, seed=0)
+        assert accuracy(result.mapping, pair.ground_truth) == 1.0
+
     def test_parameter_validation(self):
         with pytest.raises(AlgorithmError):
             SGWL(partitions=1)

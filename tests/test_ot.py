@@ -5,10 +5,13 @@ from typing import Optional
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from repro.context import RunContext
 from repro.diagnostics import capture_diagnostics, record_diagnostic
 from repro.exceptions import AlgorithmError, ConvergenceError
+from repro.graphs import erdos_renyi_graph, powerlaw_cluster_graph
+from repro.noise import make_pair
 from repro.observability import add_counter, capture_trace, counter_totals
 from repro.ot import (
     gromov_wasserstein,
@@ -479,6 +482,23 @@ class TestGromovWasserstein:
                                   extra_cost=extra, alpha=1.0)
         assert np.allclose(np.argmax(plan, axis=1), (np.arange(3) + 1) % 3)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"extra_cost": np.ones(4), "alpha": 1.0},
+         r"extra_cost must have shape \(3, 4\)"),
+        ({"extra_cost": np.ones((3, 1)), "alpha": 1.0},
+         r"extra_cost must have shape \(3, 4\)"),
+        ({"init_plan": np.full((3, 4), 1 / 12) - np.eye(3, 4) / 6},
+         "init_plan must be non-negative"),
+        ({"init_plan": np.full((4, 3), 1 / 12)},
+         r"init_plan must have shape \(3, 4\)"),
+        ({"mu": np.full(4, 0.25)}, r"mu must have shape \(3,\)"),
+        ({"nu": np.full(3, 1 / 3)}, r"nu must have shape \(4,\)"),
+    ], ids=["extra-row", "extra-column", "negative-init", "init-shape",
+            "mu-length", "nu-length"])
+    def test_bad_input_rejected(self, kwargs, match):
+        with pytest.raises(AlgorithmError, match=match):
+            gromov_wasserstein(np.ones((3, 3)), np.ones((4, 4)), **kwargs)
+
 
 def _gw_every_step(c1, c2, mu, nu, beta, outer_iter, inner_iter=100,
                    tol=1e-7, extra_cost=None, alpha=0.0, init_plan=None):
@@ -506,14 +526,19 @@ def _gw_every_step(c1, c2, mu, nu, beta, outer_iter, inner_iter=100,
 class TestGromovWassersteinOneGradientPerStep:
     """Reusing a step's gradient as the next step's cost changes nothing."""
 
+    @pytest.mark.parametrize("costs", ["dense", "csr"])
     @pytest.mark.parametrize("fused", [False, True])
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("beta, outer_iter", [(0.05, 40), (0.01, 8)])
     def test_bit_identical_to_gradient_every_step(self, fused, warm, beta,
-                                                   outer_iter):
+                                                   outer_iter, costs):
         rng = np.random.default_rng(11)
         c1 = rng.random((7, 7)); c1 = (c1 + c1.T) / 2
         c2 = rng.random((9, 9)); c2 = (c2 + c2.T) / 2
+        if costs == "csr":
+            # Half the entries zero, stored as a graph's adjacency is.
+            c1 = sparse.csr_matrix(np.where(c1 < 0.5, 0.0, c1))
+            c2 = sparse.csr_matrix(np.where(c2 < 0.5, 0.0, c2))
         mu, nu = rng.random(7) + 0.5, rng.random(9) + 0.5
         extra = rng.random((7, 9)) if fused else None
         alpha = 0.5 if fused else 0.0
@@ -532,6 +557,86 @@ class TestGromovWassersteinOneGradientPerStep:
         assert np.array_equal(plan, ref_plan)
         assert counter_totals(trace.to_payload())["gw_outer_iterations"] \
             == ref_outer
+
+
+def _gw_cost_forms(model):
+    """A noisy pair's adjacency matrices (ER or PL, n=90 and 120) as
+    ``csr_matrix``, ``csr_array`` and dense arrays, plus node masses."""
+    graph = (erdos_renyi_graph(90, 0.08, seed=2) if model == "er"
+             else powerlaw_cluster_graph(120, 3, 0.3, seed=2))
+    pair = make_pair(graph, "one-way", 0.05, seed=4)
+    c1, c2 = pair.source.adjacency(), pair.target.adjacency()
+    forms = {
+        "csr_matrix": (c1, c2),
+        "csr_array": (sparse.csr_array(c1), sparse.csr_array(c2)),
+        "dense": (c1.toarray(), c2.toarray()),
+    }
+    mu = pair.source.degrees + 1.0
+    nu = pair.target.degrees + 1.0
+    return forms, mu / mu.sum(), nu / nu.sum()
+
+
+class TestSparseCostsMatchDense:
+    """Sparse costs run the dense costs' algorithm: same numbers, to
+    rounding, and the same number of proximal steps."""
+
+    @pytest.mark.parametrize("form", ["csr_matrix", "csr_array", "dense"])
+    @pytest.mark.parametrize("model", ["er", "pl"])
+    def test_constant_term_is_elementwise_square(self, model, form):
+        forms, mu, nu = _gw_cost_forms(model)
+        # Edge weights other than 1, so that C∘C differs from C.
+        c1, c2 = (3.0 * c for c in forms[form])
+        d1, d2 = (3.0 * c for c in forms["dense"])
+        n1, n2 = d1.shape[0], d2.shape[0]
+        expected = ((d1 ** 2) @ mu[:, np.newaxis] @ np.ones((1, n2))
+                    + np.ones((n1, 1)) @ nu[np.newaxis, :] @ (d2 ** 2).T)
+        # The cross term vanishes at the zero plan.
+        const = gw_gradient(c1, c2, np.zeros((n1, n2)), mu, nu)
+        assert np.allclose(const, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("form", ["csr_matrix", "csr_array"])
+    @pytest.mark.parametrize("model", ["er", "pl"])
+    def test_gradient_and_discrepancy(self, model, form):
+        forms, mu, nu = _gw_cost_forms(model)
+        rng = np.random.default_rng(7)
+        plan = rng.random((mu.size, nu.size))
+        plan /= plan.sum()
+        grad = gw_gradient(*forms[form], plan, mu, nu)
+        assert isinstance(grad, np.ndarray)
+        assert np.allclose(grad, gw_gradient(*forms["dense"], plan, mu, nu),
+                           rtol=0, atol=1e-12)
+        assert gw_discrepancy(*forms[form], plan) == pytest.approx(
+            gw_discrepancy(*forms["dense"], plan), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("form", ["csr_matrix", "csr_array"])
+    @pytest.mark.parametrize("model", ["er", "pl"])
+    def test_solver(self, model, form):
+        forms, mu, nu = _gw_cost_forms(model)
+
+        def solve(costs):
+            with RunContext(trace=True).enter(), capture_trace() as trace:
+                plan = gromov_wasserstein(*costs, mu, nu, beta=0.02,
+                                          outer_iter=100)
+            return plan, counter_totals(trace.to_payload())
+
+        plan, counters = solve(forms[form])
+        dense_plan, dense_counters = solve(forms["dense"])
+        assert np.allclose(plan, dense_plan, rtol=0, atol=1e-12)
+        # Convergence, not the step cap, ends both runs.
+        assert counters["gw_outer_iterations"] \
+            == dense_counters["gw_outer_iterations"] < 100
+
+    @pytest.mark.parametrize("form", ["csr_matrix", "csr_array"])
+    @pytest.mark.parametrize("model", ["er", "pl"])
+    def test_barycenter(self, model, form):
+        forms, _mu, _nu = _gw_cost_forms(model)
+        bary, plans = gw_barycenter_costs(
+            list(forms[form]), seed=np.random.default_rng(0), restarts=2)
+        dense_bary, dense_plans = gw_barycenter_costs(
+            list(forms["dense"]), seed=np.random.default_rng(0), restarts=2)
+        assert np.allclose(bary, dense_bary, rtol=0, atol=1e-12)
+        for plan, dense_plan in zip(plans, dense_plans):
+            assert np.allclose(plan, dense_plan, rtol=0, atol=1e-12)
 
 
 class TestBarycenter:
