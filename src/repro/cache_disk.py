@@ -176,19 +176,17 @@ class DiskArtifactCache:
     :class:`repro.cache.ArtifactCache`; :meth:`get_or_compute` also
     works standalone.
 
+    Every store fsyncs its payload, its metadata and their directory:
+    the cache's whole point is surviving crashes.
+
     Parameters
     ----------
     cache_dir:
         Root directory (created if missing).
-    fsync:
-        Fsync payloads, metadata, and directories on every store.  On by
-        default — the cache's whole point is surviving crashes; tests
-        may turn it off for speed.
     """
 
-    def __init__(self, cache_dir: Union[str, Path], fsync: bool = True):
+    def __init__(self, cache_dir: Union[str, Path]):
         self.root = Path(cache_dir)
-        self.fsync = bool(fsync)
         self.objects_dir = self.root / "objects"
         self.quarantine_dir = self.root / "quarantine"
         self.events_dir = self.root / "events"
@@ -343,7 +341,7 @@ class DiskArtifactCache:
         try:
             blob = pickle.dumps(value, protocol=4)
             payload_path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(payload_path, blob, fsync=self.fsync)
+            atomic_write_bytes(payload_path, blob)
             meta = {
                 "version": _ENTRY_VERSION,
                 "checksum": _checksum(blob),
@@ -355,8 +353,7 @@ class DiskArtifactCache:
             }
             atomic_write_bytes(
                 meta_path,
-                json.dumps(meta, sort_keys=True).encode("utf-8"),
-                fsync=self.fsync)
+                json.dumps(meta, sort_keys=True).encode("utf-8"))
         except Exception as exc:
             # A full disk or an unpicklable payload must not fail the
             # cell that computed the value — the sweep's answer does not

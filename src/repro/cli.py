@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -225,10 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-depth", type=int, default=256, metavar="N",
                        help="backlog bound: new submissions beyond this are "
                             "rejected with retry-after (default 256)")
-    serve.add_argument("--lease-timeout", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="heartbeat staleness bound before a dead "
-                            "worker's request is re-leased (default 30)")
     serve.add_argument("--max-attempts", type=int, default=3, metavar="N",
                        help="orphaned executions per ticket before it is "
                             "failed instead of re-queued (default 3)")
@@ -437,8 +434,6 @@ def _cmd_experiment(args, out) -> int:
 
 def _load_finished_table(journal_path, out):
     """A ResultTable from a finished run journal (None on error)."""
-    from pathlib import Path
-
     from repro.harness import ResultTable, RunJournal
 
     path = Path(journal_path)
@@ -509,6 +504,10 @@ def _cmd_serve(args, out) -> int:
                                load_service_events, read_health)
 
     if args.status:
+        if not (Path(args.service_dir) / "queue").is_dir():
+            out.write(f"error: no service queue at {args.service_dir} "
+                      "(it has no queue/ directory)\n")
+            return 2
         health = read_health(args.service_dir)
         if health is None:
             out.write("no heartbeat published yet (has the service run "
@@ -540,7 +539,6 @@ def _cmd_serve(args, out) -> int:
         args.service_dir,
         max_depth=args.max_depth,
         workers=args.workers,
-        lease_timeout_seconds=args.lease_timeout,
         max_attempts=args.max_attempts,
         retry_policy=retry,
         default_deadline_seconds=args.default_deadline,
@@ -563,6 +561,10 @@ def _cmd_serve(args, out) -> int:
 def _cmd_cache(args, out) -> int:
     from repro.cache_disk import DiskArtifactCache
 
+    if not (Path(args.cache_dir) / "objects").is_dir():
+        out.write(f"error: no disk cache at {args.cache_dir} "
+                  "(it has no objects/ directory)\n")
+        return 2
     disk = DiskArtifactCache(args.cache_dir)
     if args.cache_command == "stats":
         stats = disk.stats()

@@ -41,10 +41,9 @@ Three modes target the multi-process sweep and the disk cache
   worker vanishes mid-instance, exactly like an OOM-killed or preempted
   worker, and the supervisor must re-queue the cell in flight;
 * ``"stale_lease"`` suppresses the process's heartbeats
-  (:func:`repro.harness.scheduler.suppress_heartbeats`; the alignment
-  service's lease heartbeats honour it too) and then hangs, so a
-  perfectly alive worker looks hung; the supervisor must SIGKILL it
-  and re-queue the cell;
+  (:func:`repro.harness.scheduler.suppress_heartbeats`; only sweep
+  workers send heartbeats) and then hangs, so a perfectly alive worker
+  looks hung; the supervisor must SIGKILL it and re-queue the cell;
 * ``"corrupt_cache"`` runs the real similarity stage and then flips a
   byte in one committed disk-cache payload under ``spec.cache_dir``
   (see :func:`corrupt_random_cache_entry`) — the next reader must

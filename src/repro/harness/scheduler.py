@@ -70,10 +70,9 @@ __all__ = [
 # the bound.
 DEFAULT_ORPHAN_ATTEMPTS = 3
 
-# Fault hook (see repro.faults "stale_lease"): while True, heartbeat
-# threads stop beating — a sweep worker's and the alignment service's
-# alike — so a perfectly alive process looks hung.  Per-process, like
-# every fault.
+# Fault hook (see repro.faults "stale_lease"): while True, a sweep
+# worker's heartbeat thread stops beating, so a perfectly alive worker
+# looks hung.  Per-process, like every fault.
 _HEARTBEATS_SUPPRESSED = False
 
 

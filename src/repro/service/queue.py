@@ -1,20 +1,22 @@
 """Durable on-disk request queue: the one store of the service's tickets.
 
 The queue persists every accepted request and coordinates its execution
-through lease files, whose primitives live here: ``O_CREAT | O_EXCL``
-lease files claim a request atomically, a heartbeat thread rewrites them
-by temp-file + atomic rename, heartbeat-stale or dead-pid leases are
-reclaimed so a SIGKILLed worker's request is **re-leased, not lost**, and
-``.attempts`` tombstones preserve how often a request burned an
-execution.  Any number of service processes may share one queue
-directory, which is why the service coordinates on files while a
-``workers`` sweep, whose one supervisor owns its queue, needs none.
+through lease files, whose primitives live here.  A lease is a file its
+holder keeps ``flock``ed: written and locked under a temporary name,
+then ``os.link``ed into place, so a claim is exclusive and a lease is
+never seen torn.  The kernel drops a dead holder's lock — SIGKILL
+included — so a lease the reclaim scan can lock was left by a holder
+that is gone, and its request is **re-leased, not lost**; ``.attempts``
+tombstones preserve how often a request burned an execution.  Any
+number of service processes on one host may share one queue directory,
+which is why the service coordinates on files while a ``workers``
+sweep, whose one supervisor owns its queue, needs none.
 
 Layout under the queue root (lease files are named by :func:`cell_hash`
 of the key)::
 
     requests/<key>.req     pickled request payload, atomically published
-    leases/<hash>.lease    lease (pid + host + attempt + heartbeat)
+    leases/<hash>.lease    lease (key + pid + attempt), flocked by its holder
     leases/<hash>.attempts orphan-attempt tombstone
     done/<key>.done        JSON outcome: state, attempts, error, record
 
@@ -35,13 +37,13 @@ queue, so restarts recover the full backlog from the directory alone.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import pickle
-import socket
+import tempfile
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -51,7 +53,6 @@ import numpy as np
 from repro.cache import canonicalize_params
 from repro.cache_disk import _fsync_dir, atomic_write_bytes
 from repro.exceptions import ExperimentError
-from repro.harness import scheduler
 from repro.service.tickets import (
     TERMINAL_STATES,
     TICKET_STATES,
@@ -68,7 +69,6 @@ __all__ = [
     "try_acquire_lease",
     "read_lease",
     "release_lease",
-    "scan_stale_leases",
     "read_attempts",
     "bump_attempts",
 ]
@@ -87,27 +87,43 @@ def cell_hash(key: str) -> str:
 
 @dataclass(frozen=True)
 class Lease:
-    """One worker's claim on one cell, as read back from disk.
-
-    ``heartbeat`` is a wall-clock timestamp (cross-process comparable).
-    A lease file caught mid-write (claimed but content not yet visible)
-    parses into a Lease with unknown pid and the file mtime as its
-    heartbeat — present is present; staleness judgments still apply.
-    """
+    """One holder's claim on one cell, as read back from disk."""
 
     key: str
     pid: int
-    host: str
     attempt: int
-    acquired_at: float
-    heartbeat: float
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "key": self.key, "pid": self.pid, "host": self.host,
-            "attempt": self.attempt, "acquired_at": self.acquired_at,
-            "heartbeat": self.heartbeat,
-        }, sort_keys=True)
+
+# The descriptors of the leases this process holds, by lease path.  The
+# descriptor is the lease: its ``flock`` lives as long as its open file
+# description does, which the kernel ends when the holder dies.
+_HELD: Dict[Path, int] = {}
+
+# Guards ``_HELD``: taken around each claim and release and across every
+# fork, so a fork never copies a lease descriptor missing from ``_HELD``,
+# and a release never drops another thread's new claim of its path.
+_HELD_LOCK = threading.Lock()
+
+
+def _close_inherited_leases() -> None:
+    """In a forked child, close the lease descriptors it inherited.
+
+    A forked descriptor shares its parent's open file description, and
+    with it the ``flock``: a child that outlives its server (a budgeted
+    request's cell runs in one) would keep the server's leases locked.
+    Closing the child's copies never drops the parent's lock, since the
+    parent's descriptor still holds the description open — which is why
+    nothing here calls ``LOCK_UN``.
+    """
+    for fd in _HELD.values():
+        os.close(fd)
+    _HELD.clear()
+    _HELD_LOCK.release()
+
+
+os.register_at_fork(before=_HELD_LOCK.acquire,
+                    after_in_parent=_HELD_LOCK.release,
+                    after_in_child=_close_inherited_leases)
 
 
 def lease_path(lease_dir: Path, key: str) -> Path:
@@ -118,114 +134,58 @@ def try_acquire_lease(lease_dir: Path, key: str,
                       attempt: int = 1) -> Optional[Path]:
     """Atomically claim a cell; ``None`` if someone already holds it.
 
-    The claim itself is the ``O_CREAT | O_EXCL`` create — two workers
-    racing get exactly one winner from the filesystem, with no lock
-    server and no advisory-lock caveats.  The content write that follows
-    is not atomic, which is why :func:`read_lease` tolerates a
-    mid-write file.
+    The lease is written and ``flock``ed under a temporary name, then
+    ``os.link``ed to its own: the link fails on an existing lease, so
+    two claimants racing get exactly one winner, and no reader ever
+    sees a lease torn, or unlocked while its holder lives.
     """
     path = lease_path(lease_dir, key)
-    now = time.time()
-    lease = Lease(key=key, pid=os.getpid(), host=socket.gethostname(),
-                  attempt=int(attempt), acquired_at=now, heartbeat=now)
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-    except FileExistsError:
-        return None
-    try:
-        os.write(fd, lease.to_json().encode("utf-8"))
-    finally:
-        os.close(fd)
+    body = json.dumps({"key": key, "pid": os.getpid(),
+                       "attempt": int(attempt)}, sort_keys=True)
+    with _HELD_LOCK:
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp",
+                                   dir=lease_dir)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            os.write(fd, body.encode("utf-8"))
+            os.link(tmp, path)
+        except FileExistsError:
+            os.close(fd)
+            return None
+        except BaseException:
+            os.close(fd)
+            raise
+        finally:
+            os.unlink(tmp)
+        _HELD[path] = fd
     return path
 
 
-def refresh_lease(path: Path, key: str, attempt: int,
-                  acquired_at: float) -> None:
-    """Publish a fresh heartbeat via temp-file + atomic rename.
-
-    A reader (a reclaim scan judging staleness) sees either the old
-    complete lease or the new complete lease, never a torn one — the
-    reason heartbeats rewrite rather than append or touch-in-place.
-    """
-    lease = Lease(key=key, pid=os.getpid(), host=socket.gethostname(),
-                  attempt=int(attempt), acquired_at=acquired_at,
-                  heartbeat=time.time())
-    try:
-        atomic_write_bytes(path, lease.to_json().encode("utf-8"),
-                           fsync=False)
-    except OSError:
-        # Lease may have been reclaimed under us; the first terminal
-        # outcome still wins (see DurableRequestQueue.mark_done).
-        pass
-
-
 def read_lease(path: Path) -> Optional[Lease]:
-    """Parse a lease file; mid-write or foreign content degrades gracefully."""
+    """Parse a lease file; ``None`` when it is gone or not a lease."""
     try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError:
-        return None  # vanished (released/reclaimed) between list and read
-    try:
-        data = json.loads(raw)
-        return Lease(
-            key=str(data["key"]), pid=int(data["pid"]),
-            host=str(data["host"]), attempt=int(data.get("attempt", 1)),
-            acquired_at=float(data.get("acquired_at", 0.0)),
-            heartbeat=float(data.get("heartbeat", 0.0)),
-        )
-    except (ValueError, KeyError, TypeError):
-        # Claimed but content not yet (fully) written: fall back to the
-        # file's mtime as the heartbeat so a crash exactly there still
-        # goes stale and gets reclaimed.
-        try:
-            mtime = path.stat().st_mtime
-        except OSError:
-            return None
-        return Lease(key="", pid=-1, host="", attempt=1,
-                     acquired_at=mtime, heartbeat=mtime)
+        data = json.loads(path.read_bytes())
+        return Lease(key=str(data["key"]), pid=int(data["pid"]),
+                     attempt=int(data["attempt"]))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None  # released between list and read, or foreign content
 
 
 def release_lease(path: Path) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass  # already reclaimed; the first terminal outcome still wins
+    """Give up a lease this process holds; a no-op for any other path.
 
-
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # exists, owned by someone else
-    except OSError:
-        return True  # unknowable: do not declare death on a whim
-    return True
-
-
-def scan_stale_leases(lease_dir: Path, timeout_seconds: float
-                      ) -> List[Tuple[Path, Lease, str]]:
-    """Leases whose owner is provably dead or silent past the timeout.
-
-    A dead pid (same host only — a foreign host's pids mean nothing
-    here) is stale immediately; an alive-or-remote owner is stale only
-    once its heartbeat is older than ``timeout_seconds``.
+    The file goes before its lock, so a live holder's lease is never on
+    disk unlocked.
     """
-    stale = []
-    here = socket.gethostname()
-    now = time.time()
-    for path in sorted(Path(lease_dir).glob("*.lease")):
-        lease = read_lease(path)
-        if lease is None:
-            continue
-        if lease.host == here and not _pid_alive(lease.pid):
-            stale.append((path, lease, "dead_pid"))
-        elif now - lease.heartbeat > timeout_seconds:
-            stale.append((path, lease, "expired_heartbeat"))
-    return stale
+    with _HELD_LOCK:
+        fd = _HELD.pop(path, None)
+        if fd is None:
+            return
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+    os.close(fd)
 
 
 # ----------------------------------------------------------------------
@@ -253,46 +213,6 @@ def bump_attempts(lease_dir: Path, key: str) -> int:
     except OSError:
         pass
     return total
-
-
-# ----------------------------------------------------------------------
-# Heartbeats
-
-
-class _HeartbeatThread(threading.Thread):
-    """Background refresher for every lease this process holds.
-
-    Daemonic: if the process dies, the heartbeat dies with it — which
-    is precisely the signal a reclaim scan keys staleness off.
-    """
-
-    def __init__(self, interval_seconds: float):
-        super().__init__(name="lease-heartbeat", daemon=True)
-        self.interval = max(float(interval_seconds), 0.05)
-        self._lock = threading.Lock()
-        self._held: Dict[Path, Tuple[str, int, float]] = {}
-        self._stop = threading.Event()
-
-    def track(self, path: Path, key: str, attempt: int,
-              acquired_at: float) -> None:
-        with self._lock:
-            self._held[path] = (key, attempt, acquired_at)
-
-    def untrack(self, path: Path) -> None:
-        with self._lock:
-            self._held.pop(path, None)
-
-    def stop(self) -> None:
-        self._stop.set()
-
-    def run(self) -> None:
-        while not self._stop.wait(self.interval):
-            if scheduler._HEARTBEATS_SUPPRESSED:
-                continue
-            with self._lock:
-                held = list(self._held.items())
-            for path, (key, attempt, acquired_at) in held:
-                refresh_lease(path, key, attempt, acquired_at)
 
 
 class QueueFull(ExperimentError):
@@ -375,21 +295,19 @@ class DurableRequestQueue:
     """Crash-safe queue of accepted alignment requests and their tickets.
 
     Multi-process safe by construction: payloads publish via temp-file +
-    atomic rename, claims are ``O_EXCL`` lease creates, outcomes are
-    ``os.link`` publishes that never replace, and every reader tolerates
-    files vanishing between list and read.  One queue directory may be
-    shared by any number of submitters and servers.
+    atomic rename, claims link flocked lease files into place, outcomes
+    are ``os.link`` publishes that never replace, and every reader
+    tolerates files vanishing between list and read.  One queue directory
+    may be shared by any number of submitters and servers on one host.
     """
 
-    def __init__(self, root: Union[str, Path], max_depth: int = 256,
-                 lease_timeout_seconds: float = 30.0):
+    def __init__(self, root: Union[str, Path], max_depth: int = 256):
         if int(max_depth) < 1:
             raise ExperimentError(
                 f"max_depth must be >= 1, got {max_depth}"
             )
         self.root = Path(root)
         self.max_depth = int(max_depth)
-        self.lease_timeout_seconds = float(lease_timeout_seconds)
         self.requests_dir = self.root / "requests"
         self.lease_dir = self.root / "leases"
         self.done_dir = self.root / "done"
@@ -576,21 +494,42 @@ class DurableRequestQueue:
         return bump_attempts(self.lease_dir, key)
 
     def reclaim_stale(self) -> List[Tuple[str, int, str]]:
-        """Release leases whose owner is dead or silent past the timeout.
+        """Remove the leases whose holder exited.
 
-        Returns ``(key, attempts, reason)`` per reclaimed lease, with the
-        burned attempt already tombstoned — the ticket reads as pending
+        A holder keeps its lease locked while it lives, so a lease this
+        scan can lock was left by one that is gone; the scan locks it
+        through a description of its own, which a holder in this same
+        process does not share.  Returns ``(key, attempts,
+        "holder_exited")`` per reclaimed lease, with the burned attempt
+        tombstoned before the lease goes — the ticket reads as pending
         again and, past the service's retry bound, is failed instead of
-        crash-looping.  A lease caught mid-write carries no key (the
-        file name is a hash); it is still removed, and the key comes
-        back empty.
+        crash-looping.
         """
         reclaimed = []
-        for path, lease, reason in scan_stale_leases(
-                self.lease_dir, self.lease_timeout_seconds):
-            attempts = self.record_attempt(lease.key) if lease.key else 0
-            release_lease(path)
-            reclaimed.append((lease.key, attempts, reason))
+        for path in sorted(self.lease_dir.glob("*.lease")):
+            try:
+                fd = os.open(path, os.O_RDONLY)
+            except FileNotFoundError:
+                continue  # released since the listing
+            try:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    continue  # its holder lives
+                try:
+                    same = os.stat(path).st_ino == os.fstat(fd).st_ino
+                except FileNotFoundError:
+                    same = False
+                if not same:
+                    continue  # released, maybe claimed again, since the open
+                lease = read_lease(path)
+                if lease is not None:  # else not a lease: nothing to charge
+                    reclaimed.append((lease.key,
+                                      self.record_attempt(lease.key),
+                                      "holder_exited"))
+                os.unlink(path)
+            finally:
+                os.close(fd)
         return reclaimed
 
     # -- outcomes ----------------------------------------------------------

@@ -9,9 +9,10 @@ repository has already hardened one PR at a time:
 * tickets are content-addressed (:mod:`repro.service.tickets`) —
   duplicate submissions return the existing ticket;
 * accepted requests persist in a :class:`~repro.service.queue.DurableRequestQueue`
-  and are claimed with its ``O_EXCL`` lease files, heartbeats, and
-  stale-lease reclaim — a SIGKILLed worker's request is re-leased,
-  never lost;
+  and are claimed with its lease files, which the server keeps
+  ``flock``ed while it runs them; the kernel unlocks a dead server's
+  leases, and the janitor reclaims them — a SIGKILLed server's request
+  is re-leased, never lost;
 * a ticket's state is its queue files (request, lease, outcome) and is
   stored nowhere else, so there is no second record to reconcile after
   a crash, and every process reads the same answer;
@@ -34,8 +35,10 @@ repository has already hardened one PR at a time:
   ``retry_after_seconds`` hint — but an already-accepted ticket is
   never bounced and never dropped.
 * *Crash-safety*: SIGKILL the server at any instant; a restarted server
-  reclaims the dead worker's lease and drives every ticket to a terminal
-  state, with results bit-identical to a serial run of the same cell.
+  reclaims the dead server's leases and drives every ticket to a
+  terminal state, with results bit-identical to a serial run of the
+  same cell.  A budgeted request's cell runs in a forked child, which
+  closes the leases it inherits, so an orphaned child pins none.
 * *Graceful drain*: SIGTERM stops admission, lets leased work finish
   (each outcome is fsynced before its lease is released), and exits;
   queued-but-unclaimed tickets survive for the next server.
@@ -67,7 +70,6 @@ from repro.service.queue import (
     AlignmentRequest,
     DurableRequestQueue,
     QueueFull,
-    _HeartbeatThread,
     lease_path,
 )
 from repro.service.tickets import Ticket, TicketError
@@ -80,6 +82,9 @@ __all__ = [
 ]
 
 _HEALTH_FILE = "health.json"
+_POLL_SECONDS = 0.05  # idle wait of the serve and drain loops
+_RETRY_AFTER_SECONDS = 2.0  # base backoff hint of a rejected submission
+_JANITOR_SECONDS = 5.0  # between reclaim scans while serving
 
 
 class ServiceUnavailable(ExperimentError):
@@ -142,9 +147,10 @@ class AlignmentService:
         <service_dir>/health.json         heartbeat for external monitors
 
     Run at most one *server* (executing) instance per directory at a
-    time — sequential restarts are the supported topology, exactly like
-    the sweep supervisor.  Any number of processes may submit and poll
-    concurrently; submission and status are pure filesystem operations.
+    time, on one host — sequential restarts are the supported topology,
+    exactly like the sweep supervisor.  Any number of processes may
+    submit and poll concurrently; submission and status are pure
+    filesystem operations.
 
     The synchronous core (``submit_sync`` / ``status_sync`` /
     ``result_sync`` / ``cancel_sync`` / ``run_until_drained``) carries
@@ -158,13 +164,10 @@ class AlignmentService:
         service_dir: Union[str, Path],
         max_depth: int = 256,
         workers: int = 2,
-        lease_timeout_seconds: float = 30.0,
         max_attempts: int = 3,
         retry_policy: Optional[RetryPolicy] = None,
         default_deadline_seconds: Optional[float] = None,
         memory_limit_bytes: Optional[int] = None,
-        poll_interval_seconds: float = 0.05,
-        retry_after_seconds: float = 2.0,
         runner: Optional[Callable[[AlignmentRequest, Optional[CellBudget]],
                                   RunRecord]] = None,
     ):
@@ -187,12 +190,8 @@ class AlignmentService:
         self.retry_policy = retry_policy
         self.default_deadline_seconds = default_deadline_seconds
         self.memory_limit_bytes = memory_limit_bytes
-        self.poll_interval_seconds = float(poll_interval_seconds)
-        self.retry_after_seconds = float(retry_after_seconds)
-        self.lease_timeout_seconds = float(lease_timeout_seconds)
-        self.queue = DurableRequestQueue(
-            self.root / "queue", max_depth=max_depth,
-            lease_timeout_seconds=lease_timeout_seconds)
+        self.queue = DurableRequestQueue(self.root / "queue",
+                                         max_depth=max_depth)
         self.events = EventLog(self.root / "events.jsonl")
         self._events_lock = threading.Lock()
         self._runner = runner or _default_runner
@@ -200,7 +199,6 @@ class AlignmentService:
         self._draining = False
         self._in_flight: Dict[str, float] = {}
         self._in_flight_lock = threading.Lock()
-        self._heartbeat: Optional[_HeartbeatThread] = None
         self._started_at = time.time()
         self._expire_overdue()
 
@@ -250,7 +248,7 @@ class AlignmentService:
             return existing
         if self._draining:
             raise ServiceUnavailable(
-                "draining", self.retry_after_seconds,
+                "draining", _RETRY_AFTER_SECONDS,
                 detail="the server is shutting down gracefully")
         try:
             key, _ = self.queue.enqueue(request, key=key)
@@ -259,7 +257,7 @@ class AlignmentService:
                                depth=exc.depth, max_depth=exc.max_depth)
             raise ServiceUnavailable(
                 "queue_full",
-                self.retry_after_seconds * (1.0 + exc.depth / exc.max_depth),
+                _RETRY_AFTER_SECONDS * (1.0 + exc.depth / exc.max_depth),
                 detail=str(exc))
         return self.queue.ticket(key)
 
@@ -340,13 +338,6 @@ class AlignmentService:
         return CellBudget(time_seconds=time_limit,
                           memory_bytes=self.memory_limit_bytes)
 
-    def _ensure_heartbeat(self) -> _HeartbeatThread:
-        if self._heartbeat is None or not self._heartbeat.is_alive():
-            self._heartbeat = _HeartbeatThread(
-                interval_seconds=self.lease_timeout_seconds / 5.0)
-            self._heartbeat.start()
-        return self._heartbeat
-
     def claim_next(self) -> Optional[str]:
         """Lease the oldest pending request; ``None`` when nothing is.
 
@@ -364,9 +355,6 @@ class AlignmentService:
                 continue
             with self._in_flight_lock:
                 self._in_flight[key] = time.time()
-            heartbeat = self._ensure_heartbeat()
-            heartbeat.track(claim, key, self.queue.attempts(key) + 1,
-                            time.time())
             return key
         return None
 
@@ -383,8 +371,6 @@ class AlignmentService:
             self.queue.mark_done(key, **self._run_claimed(key))
             return self.status_sync(key)
         finally:
-            if self._heartbeat is not None:
-                self._heartbeat.untrack(claim)
             self.queue.release(claim)
             with self._in_flight_lock:
                 self._in_flight.pop(key, None)
@@ -466,16 +452,16 @@ class AlignmentService:
                     f"run_until_drained exceeded {max_seconds}s with "
                     f"{self.queue.depth()} requests outstanding"
                 )
-            time.sleep(self.poll_interval_seconds)
+            time.sleep(_POLL_SECONDS)
 
     # -- maintenance -------------------------------------------------------
 
     def janitor_pass(self) -> None:
-        """Reclaim stale leases, expire overdue tickets, beat the heart."""
+        """Reclaim the leases of dead holders, expire overdue tickets,
+        and publish ``health.json``."""
         for key, attempts, reason in self.queue.reclaim_stale():
-            if key:  # a lease torn mid-write names no key
-                self._record_event("lease_reclaimed", key=key,
-                                   reason=reason, attempts=attempts)
+            self._record_event("lease_reclaimed", key=key,
+                               reason=reason, attempts=attempts)
         self._expire_overdue()
         self.write_heartbeat()
 
@@ -519,14 +505,11 @@ class AlignmentService:
             self._record_event("drain_requested")
 
     def close(self) -> None:
-        """Release process-local resources (event log handle, threads).
+        """Release process-local resources (the event log handle).
 
         All durable state is already on disk; ``close`` never discards
         work.
         """
-        if self._heartbeat is not None:
-            self._heartbeat.stop()
-            self._heartbeat = None
         self.write_heartbeat()
         self.events.close()
 
@@ -556,7 +539,7 @@ class AlignmentService:
                 return
             key = await asyncio.to_thread(self.claim_next)
             if key is None:
-                await asyncio.sleep(self.poll_interval_seconds)
+                await asyncio.sleep(_POLL_SECONDS)
                 continue
             try:
                 await asyncio.to_thread(self.execute_claimed, key)
@@ -568,10 +551,9 @@ class AlignmentService:
                     error=f"{type(exc).__name__}: {exc}")
 
     async def _janitor_loop(self) -> None:
-        interval = min(max(self.lease_timeout_seconds / 5.0, 0.05), 5.0)
         while not self._draining:
             await asyncio.to_thread(self.janitor_pass)
-            await asyncio.sleep(interval)
+            await asyncio.sleep(_JANITOR_SECONDS)
 
     async def serve(self, stop_when_idle: bool = False,
                     install_signal_handlers: bool = True
@@ -609,7 +591,7 @@ class AlignmentService:
                     if not busy:
                         self.request_drain()
                         break
-                await asyncio.sleep(self.poll_interval_seconds)
+                await asyncio.sleep(_POLL_SECONDS)
             # Drain: workers exit after their current execution.
             await asyncio.gather(*workers, return_exceptions=True)
         finally:

@@ -251,7 +251,7 @@ class TestServeCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve", "--service-dir", "/s"])
         assert args.workers == 2 and args.max_depth == 256
-        assert args.lease_timeout == 30.0 and args.max_attempts == 3
+        assert args.max_attempts == 3
         assert not args.drain_when_idle and not args.status
 
     def test_drain_when_idle_completes_batch(self, tmp_path):
@@ -286,6 +286,14 @@ class TestServeCommand:
                            "--status"])
         assert code == 0
         assert "backlog" in text and "pending" in text
+
+    def test_status_of_a_missing_directory_creates_nothing(self, tmp_path):
+        missing = tmp_path / "typo"
+        code, text = _run(["serve", "--service-dir", str(missing),
+                           "--status"])
+        assert code == 2
+        assert str(missing) in text
+        assert not missing.exists()
 
 
 class TestCacheCommand:
@@ -324,6 +332,16 @@ class TestCacheCommand:
         assert code == 0
         assert "removed" in text
         assert disk.stats()["entries"] == 0
+
+    @pytest.mark.parametrize("command", [["stats"],
+                                         ["prune", "--max-mb", "0"]])
+    def test_a_missing_cache_directory_is_an_error(self, tmp_path, command):
+        missing = tmp_path / "typo"
+        code, text = _run(["cache", command[0], "--cache-dir", str(missing),
+                           *command[1:]])
+        assert code == 2
+        assert str(missing) in text
+        assert not missing.exists()
 
     def test_stats_reports_entry_count(self, tmp_path):
         self._seed_cache(tmp_path)

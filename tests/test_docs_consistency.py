@@ -1,5 +1,6 @@
 """Documentation consistency: what the docs reference must exist."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -75,3 +76,45 @@ class TestExperimentsDocument:
             assert f"Table {table}" in text
         for figure in range(1, 17):
             assert f"Fig. {figure}" in text, f"Figure {figure} missing"
+
+
+def _subcommands(parser):
+    """A parser's subcommand parsers by name; empty when it has none."""
+    return next((action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)), {})
+
+
+class TestCliInvocations:
+    DOCUMENTS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+                 ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
+
+    def test_every_documented_flag_exists(self):
+        """Each ``--flag`` of a documented ``[python -m] repro <command>``
+        (or ``repro cache prune``-style subcommand) is one its parser
+        knows."""
+        from repro.cli import build_parser
+
+        commands = _subcommands(build_parser())
+        documents = [ROOT / name for name in self.DOCUMENTS]
+        documents += sorted((ROOT / "docs").glob("*.md"))
+        invocations, unknown = 0, []
+        for path in documents:
+            # Join backslash continuations, and the folded YAML lines of
+            # ci.yml that go on with a flag.
+            text = re.sub(r"\\\n\s*|\n(?=[ \t]+--)", " ", path.read_text())
+            for name, rest in re.findall(
+                    r"(?<![\w./-])repro\s+(\w+)([^\n`]*)", text):
+                if name not in commands:
+                    continue  # prose, or an import
+                rest = re.split(r"\s#|&&|;|\|", rest)[0]
+                words = rest.split()
+                parser = _subcommands(commands[name]).get(
+                    words[0] if words else "", commands[name])
+                known = {option for action in parser._actions
+                         for option in action.option_strings}
+                invocations += 1
+                unknown += [f"{path.name}: repro {name} {flag}"
+                            for flag in re.findall(r"--[a-z][\w-]*", rest)
+                            if flag not in known]
+        assert invocations >= 30
+        assert not unknown, unknown

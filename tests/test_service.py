@@ -1,16 +1,19 @@
 """Unit and property tests for the alignment service front-end.
 
-Covers the lease-file primitives under the queue (exclusive claims,
-heartbeats, stale-lease detection, attempt tombstones), the durable
-request queue (admission, claims, stale-lease reclaim, ticket state
-and result derived from its files), and the service itself:
+Covers the lease-file primitives under the queue (exclusive flocked
+claims, reclaim of leases whose holder died, attempt tombstones), the
+durable request queue (admission, claims, stale-lease reclaim, ticket
+state and result derived from its files), and the service itself:
 idempotent submission under concurrent races (hypothesis),
 backpressure, deadlines, cancellation, drain, and restart recovery.
 The SIGKILL chaos scenario lives in ``test_service_chaos.py``.
 """
 
+import fcntl
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 import threading
@@ -46,11 +49,11 @@ from repro.service.queue import (
     lease_path,
     read_attempts,
     read_lease,
-    refresh_lease,
     release_lease,
-    scan_stale_leases,
     try_acquire_lease,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 G1 = erdos_renyi_graph(16, 0.3, seed=1)
 G2 = erdos_renyi_graph(16, 0.3, seed=2)
@@ -68,6 +71,51 @@ def fast_record(request, measures=None):
 
 def fast_runner(request, budget):
     return fast_record(request)
+
+
+def abandon_lease(lease_dir, key, attempt=1):
+    """A lease file nobody holds locked, as a dead holder leaves it."""
+    lease_path(lease_dir, key).write_text(json.dumps(
+        {"key": key, "pid": 2 ** 22 + 1234, "attempt": attempt}))
+
+
+# Claims a lease on argv[2] in the queue at argv[1] and keeps it; with
+# argv[3] == "fork" it first forks a child that outlives it, as a
+# budgeted request's cell does.  Prints the child's pid (or its own).
+HOLDER = """\
+import multiprocessing, os, sys, time
+from repro.service.queue import DurableRequestQueue
+assert DurableRequestQueue(sys.argv[1]).claim(sys.argv[2]) is not None
+pid = os.getpid()
+if sys.argv[3] == "fork":
+    child = multiprocessing.get_context("fork").Process(
+        target=time.sleep, args=(300,))
+    child.start()
+    pid = child.pid
+print(pid, flush=True)
+time.sleep(300)
+"""
+
+
+def start_holder(queue_root, key, fork=False):
+    """A subprocess holding ``key``'s lease, and the pid it printed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLDER, str(queue_root), key,
+         "fork" if fork else "plain"],
+        stdout=subprocess.PIPE, text=True, env=env, start_new_session=True)
+    return holder, int(holder.stdout.readline())
+
+
+def kill_group(process):
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=30)
+    process.stdout.close()
 
 
 def request_for(seed=0, **overrides):
@@ -89,28 +137,10 @@ class TestLeaseProtocol:
 
     def test_lease_carries_owner_identity(self, tmp_path):
         path = try_acquire_lease(tmp_path, "cell-a", attempt=2)
-        lease = read_lease(path)
-        assert lease.key == "cell-a"
-        assert lease.pid == os.getpid()
-        assert lease.attempt == 2
-        assert lease.heartbeat > 0
-
-    def test_refresh_advances_heartbeat_atomically(self, tmp_path):
-        path = try_acquire_lease(tmp_path, "cell-a")
-        before = read_lease(path)
-        time.sleep(0.02)
-        refresh_lease(path, "cell-a", 1, before.acquired_at)
-        after = read_lease(path)
-        assert after.heartbeat > before.heartbeat
-        assert after.acquired_at == before.acquired_at
-        assert not list(tmp_path.glob(".*.tmp"))  # rename left no litter
-
-    def test_mid_write_lease_degrades_to_mtime(self, tmp_path):
-        path = lease_path(tmp_path, "cell-a")
-        path.write_text("{torn")
-        lease = read_lease(path)
-        assert lease is not None and lease.pid == -1
-        assert lease.heartbeat == pytest.approx(path.stat().st_mtime)
+        assert read_lease(path) == Lease(key="cell-a", pid=os.getpid(),
+                                         attempt=2)
+        # Written whole under a temporary name, which the claim removed.
+        assert os.listdir(tmp_path) == [path.name]
 
     def test_release_tolerates_already_reclaimed(self, tmp_path):
         release_lease(tmp_path / "never-existed.lease")  # no raise
@@ -118,40 +148,126 @@ class TestLeaseProtocol:
 
 class TestStaleScan:
     def test_live_fresh_lease_not_stale(self, tmp_path):
-        try_acquire_lease(tmp_path, "cell-a")
-        assert scan_stale_leases(tmp_path, timeout_seconds=30.0) == []
+        queue = DurableRequestQueue(tmp_path)
+        claim = queue.claim("cell-a")
+        # The probe locks through its own description, so this process's
+        # hold on the lease blocks it like any other holder's.
+        assert queue.reclaim_stale() == []
+        assert queue.holder("cell-a").pid == os.getpid()
+        queue.release(claim)
+        assert not claim.exists()
 
     def test_dead_pid_stale_immediately(self, tmp_path):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        path = try_acquire_lease(tmp_path, "cell-a")
-        lease = read_lease(path)
-        dead = Lease(key=lease.key, pid=child.pid, host=lease.host,
-                     attempt=1, acquired_at=lease.acquired_at,
-                     heartbeat=time.time())
-        path.write_text(dead.to_json())
-        stale = scan_stale_leases(tmp_path, timeout_seconds=1000.0)
-        assert [(l.key, reason) for _, l, reason in stale] == \
-            [("cell-a", "dead_pid")]
+        queue = DurableRequestQueue(tmp_path)
+        holder, pid = start_holder(tmp_path, "cell-a")
+        try:
+            assert queue.holder("cell-a").pid == pid
+            assert queue.reclaim_stale() == []
+            holder.kill()
+            holder.wait(timeout=30)
+            assert queue.reclaim_stale() == [("cell-a", 1, "holder_exited")]
+        finally:
+            kill_group(holder)
+        assert queue.attempts("cell-a") == 1
+        assert queue.holder("cell-a") is None
 
-    def test_expired_heartbeat_stale(self, tmp_path):
-        path = try_acquire_lease(tmp_path, "cell-a")
-        lease = read_lease(path)
-        old = Lease(key=lease.key, pid=lease.pid, host=lease.host,
-                    attempt=1, acquired_at=lease.acquired_at,
-                    heartbeat=time.time() - 100.0)
-        path.write_text(old.to_json())
-        stale = scan_stale_leases(tmp_path, timeout_seconds=5.0)
-        assert [reason for _, _, reason in stale] == ["expired_heartbeat"]
+    def test_forked_child_does_not_pin_a_dead_holders_lease(self, tmp_path):
+        queue = DurableRequestQueue(tmp_path)
+        holder, child = start_holder(tmp_path, "cell-a", fork=True)
+        try:
+            assert queue.reclaim_stale() == []
+            holder.kill()
+            holder.wait(timeout=30)
+            os.kill(child, 0)  # the orphaned child still runs ...
+            # ... with the lease it inherited already closed.
+            assert queue.reclaim_stale() == [("cell-a", 1, "holder_exited")]
+        finally:
+            kill_group(holder)
 
-    def test_foreign_host_judged_only_by_heartbeat(self, tmp_path):
-        """A pid from another host means nothing locally — even a
-        'dead' one must wait out the heartbeat timeout."""
-        path = lease_path(tmp_path, "cell-a")
-        foreign = Lease(key="cell-a", pid=2, host="elsewhere", attempt=1,
-                        acquired_at=time.time(), heartbeat=time.time())
-        path.write_text(foreign.to_json())
-        assert scan_stale_leases(tmp_path, timeout_seconds=30.0) == []
+    def test_lease_claimed_again_since_the_probe_opened_it_stays(
+            self, tmp_path, monkeypatch):
+        queue = DurableRequestQueue(tmp_path)
+        first = queue.claim("cell-a")
+        flock = fcntl.flock
+
+        def racing_flock(fd, operation):
+            if operation & fcntl.LOCK_NB:
+                # Between the probe's open and its lock, the holder
+                # releases, and the lease is claimed again.
+                queue.release(first)
+                assert queue.claim("cell-a") is not None
+            flock(fd, operation)
+
+        monkeypatch.setattr("repro.service.queue.fcntl.flock", racing_flock)
+        assert queue.reclaim_stale() == []
+        monkeypatch.undo()
+        assert queue.holder("cell-a").pid == os.getpid()
+        assert queue.attempts("cell-a") == 0
+        assert queue.reclaim_stale() == []  # and it is still held
+
+    def test_racing_claims_and_scans_never_share_or_take_a_live_lease(
+            self, tmp_path):
+        queue = DurableRequestQueue(tmp_path)
+        keys = ["cell-a", "cell-b", "cell-c"]
+        holders = dict.fromkeys(keys, 0)
+        guard = threading.Lock()
+        errors, claims = [], []
+        stop = time.monotonic() + 1.5
+
+        def claimer(seed):
+            rng = random.Random(seed)
+            while time.monotonic() < stop:
+                key = rng.choice(keys)
+                claim = queue.claim(key)
+                if claim is None:
+                    continue
+                with guard:
+                    holders[key] += 1
+                    if holders[key] > 1:
+                        errors.append(f"{key} held twice")
+                    claims.append(key)
+                with guard:
+                    holders[key] -= 1
+                queue.release(claim)
+
+        def scanner():
+            while time.monotonic() < stop:
+                taken = queue.reclaim_stale()
+                if taken:
+                    errors.append(f"live leases reclaimed: {taken}")
+
+        def collecting(body):
+            def run(*args):
+                try:
+                    body(*args)
+                except Exception as exc:  # noqa: BLE001 — asserted below
+                    errors.append(repr(exc))
+            return run
+
+        threads = [threading.Thread(target=collecting(claimer), args=(seed,))
+                   for seed in range(6)]
+        threads += [threading.Thread(target=collecting(scanner))
+                    for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(claims) > 100
+        assert os.listdir(queue.lease_dir) == []  # no lease or temp file
+
+    def test_unlocked_file_that_is_no_lease_is_removed(self, tmp_path):
+        queue = DurableRequestQueue(tmp_path)
+        path = lease_path(queue.lease_dir, "cell-a")
+        path.write_text("")  # an older release's claim, cut before its write
+        assert queue.reclaim_stale() == []
+        assert not path.exists()
 
 
 class TestAttemptAccounting:
@@ -251,16 +367,12 @@ class TestDurableRequestQueue:
         assert queue.claim(key) is not None
 
     def test_reclaim_stale_recovers_dead_holder(self, tmp_path):
-        queue = DurableRequestQueue(tmp_path, lease_timeout_seconds=30.0)
+        queue = DurableRequestQueue(tmp_path)
         key, _ = queue.enqueue(request_for(0))
-        claim = queue.claim(key)
-        # rewrite the lease as if its owner had died
-        import json as _json
-        lease = _json.loads(claim.read_text())
-        lease["pid"] = 2 ** 22 + 1234  # beyond pid_max: provably dead
-        claim.write_text(_json.dumps(lease))
+        abandon_lease(queue.lease_dir, key)
+        assert queue.ticket(key).state == "leased"
         reclaimed = queue.reclaim_stale()
-        assert reclaimed == [(key, 1, "dead_pid")]
+        assert reclaimed == [(key, 1, "holder_exited")]
         assert queue.attempts(key) == 1
         assert queue.claim(key) is not None  # claimable again
 
@@ -701,20 +813,18 @@ class TestServiceRecovery:
         svc2.close()
 
     def test_stale_lease_from_dead_pid_is_reclaimed_live(self, tmp_path):
-        svc = AlignmentService(tmp_path, workers=1, runner=fast_runner,
-                               lease_timeout_seconds=30.0)
+        svc = AlignmentService(tmp_path, workers=1, runner=fast_runner)
         ticket = svc.submit_sync(request_for(0))
-        claim = try_acquire_lease(svc.queue.lease_dir, ticket.key, attempt=1)
-        assert claim is not None
-        lease = json.loads(claim.read_text())
-        lease["pid"] = 2 ** 22 + 999
-        claim.write_text(json.dumps(lease))
+        abandon_lease(svc.queue.lease_dir, ticket.key)
+        assert svc.status_sync(ticket.key).state == "leased"
         svc.janitor_pass()
         reclaimed = svc.status_sync(ticket.key)
         assert reclaimed.state == "pending"
         assert reclaimed.attempts == 1
         events = load_service_events(tmp_path)
-        assert any(e["kind"] == "lease_reclaimed" for e in events)
+        assert [(e["key"], e["reason"], e["attempts"]) for e in events
+                if e["kind"] == "lease_reclaimed"] == \
+            [(ticket.key, "holder_exited", 1)]
         svc.close()
 
     def test_events_survive_restart(self, tmp_path):

@@ -10,8 +10,13 @@ never dropping an accepted ticket.
 The kill happens in a subprocess driver (the service cannot SIGKILL the
 test runner), at a deterministic point: the runner SIGKILLs its own
 process at the start of the K-th execution, so at death the directory
-holds completed tickets, one leased ticket with a dead-pid lease, and a
-queued remainder — all three recovery paths at once.
+holds completed tickets, one leased ticket whose lease its dead holder
+left unlocked, and a queued remainder — all three recovery paths at
+once.
+
+A second scenario serves every request under a budget, so each cell
+runs in a forked child, and SIGKILLs the server while one such child
+hangs: the orphaned child must not keep the dead server's lease locked.
 
 Set ``REPRO_SERVICE_REPORT=/path/report.json`` (the CI soak job does)
 to dump the final ticket states and recovery events as an artifact.
@@ -73,7 +78,7 @@ for seed in range(6):
         source=pair.source, target=pair.target, algorithm="isorank",
         seed=seed, ground_truth=pair.ground_truth))
 
-svc = AlignmentService(root, workers=1, lease_timeout_seconds=5.0)
+svc = AlignmentService(root, workers=1)
 if mode == "submit":
     keys = [svc.submit_sync(r).key for r in requests]
     svc.close()
@@ -192,6 +197,121 @@ class TestServiceChaos:
         Path(target).write_text(json.dumps(payload, indent=2,
                                            sort_keys=True))
         assert Path(target).stat().st_size > 0
+
+
+HANG_SECONDS = 60.0  # how long the orphaned budget child sleeps
+
+# The budgeted scenario's driver.  "hang" submits the batch with a
+# default deadline (so every request runs in a run_cell_with_budget
+# child), stalls the first child in a one-shot hang, and SIGKILLs itself
+# once that child sleeps; "serve" is the restart.
+BUDGETED_DRIVER = """\
+import json, os, signal, sys, threading, time
+from repro.faults import FaultSpec, inject_fault
+from repro.graphs.generators import erdos_renyi_graph
+from repro.noise import make_pair
+from repro.service import AlignmentRequest, AlignmentService
+
+mode, root, trigger = sys.argv[1:4]
+hang = float(sys.argv[4])
+svc = AlignmentService(root, workers=1, default_deadline_seconds=600.0)
+if mode == "hang":
+    for seed in range(6):
+        pair = make_pair(erdos_renyi_graph(22, 0.25, seed=seed),
+                         "one-way", 0.1, seed=seed)
+        svc.submit_sync(AlignmentRequest(
+            source=pair.source, target=pair.target, algorithm="isorank",
+            seed=seed, ground_truth=pair.ground_truth))
+
+    def kill_once_hung():
+        while not os.path.exists(trigger):  # the hanging child made it
+            time.sleep(0.01)
+        time.sleep(0.2)
+        os.kill(os.getpid(), signal.SIGKILL)  # its child sleeps on
+
+    threading.Thread(target=kill_once_hung, daemon=True).start()
+    with inject_fault("isorank", FaultSpec(mode="hang", on_call=None,
+                                           hang_seconds=hang,
+                                           trigger_file=trigger)):
+        svc.run_until_drained(max_seconds=hang)
+    sys.exit("the hang never fired")
+
+start = time.monotonic()
+svc.run_until_drained(max_seconds=hang / 2)
+seconds = time.monotonic() - start
+tickets = {t.key: [t.state, t.attempts] for t in svc.queue.tickets()}
+svc.close()
+print(json.dumps({"tickets": tickets, "seconds": seconds}))
+"""
+
+
+def _start_budgeted_driver(mode, root, trigger):
+    """Start one budgeted driver in a session of its own, its output in
+    files: an orphaned child keeps inherited pipes open."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    out = root.parent / f"{mode}.out"
+    with open(out, "w") as stdout, open(f"{out}.err", "w") as stderr:
+        driver = subprocess.Popen(
+            [sys.executable, "-c", BUDGETED_DRIVER, mode, str(root),
+             str(trigger), str(HANG_SECONDS)],
+            stdout=stdout, stderr=stderr, env=env, start_new_session=True)
+    return driver, out
+
+
+@pytest.fixture(scope="module")
+def budgeted_chaos(tmp_path_factory):
+    """SIGKILL a budgeted server while a forked cell hangs, restart."""
+    base = tmp_path_factory.mktemp("budgeted")
+    root, trigger = base / "service", base / "hang.trigger"
+    drivers = []
+    try:
+        killed, out = _start_budgeted_driver("hang", root, trigger)
+        drivers.append(killed)
+        assert killed.wait(timeout=120) == -signal.SIGKILL, \
+            Path(f"{out}.err").read_text()
+        orphan = int(trigger.read_text())
+        restarted, out = _start_budgeted_driver("serve", root, trigger)
+        drivers.append(restarted)
+        assert restarted.wait(timeout=120) == 0, \
+            Path(f"{out}.err").read_text()
+        alive = True
+        try:
+            os.kill(orphan, 0)
+        except ProcessLookupError:
+            alive = False
+        yield dict(json.loads(out.read_text()), root=root,
+                   orphan_alive=alive)
+    finally:
+        for driver in drivers:
+            try:
+                os.killpg(driver.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            driver.wait(timeout=30)
+
+
+class TestBudgetedChaos:
+    def test_every_ticket_done_while_the_orphan_still_runs(
+            self, budgeted_chaos):
+        states = [state for state, _ in budgeted_chaos["tickets"].values()]
+        assert states == ["done"] * BATCH
+        assert budgeted_chaos["orphan_alive"]
+
+    def test_the_orphaned_ticket_ran_twice(self, budgeted_chaos):
+        reclaims = [e for e in load_service_events(budgeted_chaos["root"])
+                    if e["kind"] == "lease_reclaimed"]
+        assert [(e["reason"], e["attempts"]) for e in reclaims] == \
+            [("holder_exited", 1)]
+        attempts = {key: attempts for key, (_, attempts)
+                    in budgeted_chaos["tickets"].items()}
+        assert attempts.pop(reclaims[0]["key"]) == 2
+        assert set(attempts.values()) == {1}
+
+    def test_restart_finished_well_inside_the_hang(self, budgeted_chaos):
+        assert budgeted_chaos["seconds"] < HANG_SECONDS / 4
 
 
 class TestOverloadContract:
